@@ -13,6 +13,13 @@ from the results are reported and fail the gate only with ``--require-all``
 (the CI job with numba installed uses it; local runs without numba lack the
 ``numba|...`` cells).
 
+A second, host-independent check compares cells of the same run: every
+``kernel|boundary|float32`` cell must reach at least
+``MIN_FLOAT32_RATIO`` (0.8x) of its ``kernel|boundary|float64`` sibling.
+Reduced precision halves the memory traffic, so a float32 cell falling
+behind float64 is a defect in the float32 path (a slower stencil, a
+denormal stall, contending BLAS thread pools) on any host, however fast.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_seismic.py --quick --json out.json
@@ -27,6 +34,9 @@ from pathlib import Path
 
 DEFAULT_BASELINE = (Path(__file__).parent / "baselines"
                     / "bench_seismic_quick.json")
+
+#: Smallest tolerated float32 / float64 throughput ratio within one run.
+MIN_FLOAT32_RATIO = 0.8
 
 
 def check(results: dict, baseline: dict, max_drop: float,
@@ -57,6 +67,20 @@ def check(results: dict, baseline: dict, max_drop: float,
             failures.append(message)
         else:
             print(f"skip {message}")
+    for key in sorted(measured):
+        if not key.endswith("|float32"):
+            continue
+        sibling = key[:-len("float32")] + "float64"
+        if sibling not in measured:
+            continue
+        ratio = measured[key] / measured[sibling] if measured[sibling] else 0.0
+        if ratio < MIN_FLOAT32_RATIO:
+            failures.append(
+                f"{key}: {measured[key]:,.0f} wavefield-steps/s is "
+                f"{ratio:.2f}x its float64 sibling's {measured[sibling]:,.0f} "
+                f"(same run; needs >= {MIN_FLOAT32_RATIO:.2f}x)")
+        else:
+            print(f"ok {key}: {ratio:.2f}x its float64 sibling")
     return failures
 
 

@@ -15,8 +15,8 @@ gathers that constitute OpenFWI-style seismic data.
 
 The batched engine delegates its time loop to a kernel resolved from the
 :mod:`repro.seismic.kernels` registry (``QUGEO_SEISMIC_KERNEL``): the
-``"python"`` kernel is the vectorised numpy loop (bit-identical to the
-historical inline loop), the ``"numba"`` kernel fuses the whole update into
+``"python"`` kernel is the vectorised numpy loop (banded-matmul stencil
+and in-place ufunc update), the ``"numba"`` kernel fuses the whole update into
 one compiled pass per wavefield when numba is installed.  Boundaries may be
 a :class:`~repro.seismic.boundary.SpongeBoundary` or a
 :class:`~repro.seismic.boundary.PMLBoundary`, optionally padded outside the
@@ -30,15 +30,6 @@ from time import perf_counter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-try:  # SciPy is optional: the batched engine falls back to banded matmuls.
-    from scipy.ndimage import correlate1d as _correlate1d
-    from scipy.linalg.blas import daxpy as _daxpy
-    from scipy.linalg.blas import saxpy as _saxpy
-except ImportError:  # pragma: no cover - exercised via the fallback test
-    _correlate1d = None
-    _daxpy = None
-    _saxpy = None
 
 from repro.seismic.boundary import PMLBoundary, SpongeBoundary
 from repro.seismic.kernels import resolve_kernel
@@ -430,14 +421,14 @@ class BatchedAcousticSimulator2D:
     whole-batch array operations instead of one Python loop per shot.
 
     The Laplacian is evaluated in one pass per axis instead of ~5 numpy
-    temporaries per stencil tap: through ``scipy.ndimage.correlate1d``
-    (whose ``mode="nearest"`` boundary is exactly the scalar reference's
-    edge-replicated padding) when SciPy is available, otherwise through two
-    dense banded-operator matmuls (``D_z @ p`` and ``p @ D_x^T``) whose
-    rows encode the same clamped stencil.  Both paths differ from the
-    scalar loop only in floating-point summation order (~1e-16 per step),
-    so gathers agree with :class:`AcousticSimulator2D` to well inside 1e-10
-    rather than bit-for-bit.
+    temporaries per stencil tap: two dense banded-operator matmuls
+    (``D_z @ p`` and ``p @ D_x^T``) whose rows encode the scalar
+    reference's edge-replicated stencil.  The leap-frog update is an
+    in-place numpy ufunc sequence, so the whole loop stays inside numpy's
+    own BLAS.  The loop differs from the scalar one only in floating-point
+    summation order (~1e-16 per step), so gathers agree with
+    :class:`AcousticSimulator2D` to well inside 1e-10 rather than
+    bit-for-bit.
 
     Parameters
     ----------
@@ -509,33 +500,20 @@ class BatchedAcousticSimulator2D:
         coeffs = _LAPLACIAN_COEFFS[self.config.spatial_order]
         self._coeffs_z = (coeffs / self.config.dz**2).astype(real, copy=False)
         self._coeffs_x = (coeffs / self.config.dx**2).astype(real, copy=False)
-        # ndimage.correlate1d accumulates in double precision internally, so
-        # under float32 it saves nothing; the BLAS matmul path (sgemm) runs
-        # ~2x faster at reduced precision and holds the same stencil, so the
-        # float32 policy prefers it even when SciPy is present.
-        self._use_ndimage = (_correlate1d is not None
-                             and real == np.dtype(np.float64))
-        if self._use_ndimage:
-            self._dz_op = self._dx_op_t = None
-        else:
-            # Dense banded operators: the fallback without SciPy, and the
-            # primary engine at reduced precision.
-            self._dz_op = (_stencil_matrix(nz, coeffs)
-                           / self.config.dz**2).astype(real, copy=False)
-            self._dx_op_t = ((_stencil_matrix(nx, coeffs)
-                              / self.config.dx**2)
-                             .astype(real, copy=False).T)
+        # Dense banded operators: at the grid sizes served here (tens of
+        # cells per axis) one BLAS matmul per axis beats any tap loop.
+        self._dz_op = (_stencil_matrix(nz, coeffs)
+                       / self.config.dz**2).astype(real, copy=False)
+        self._dx_op_t = ((_stencil_matrix(nx, coeffs) / self.config.dx**2)
+                         .astype(real, copy=False).T)
         if self._is_pml:
             # Centred first-derivative operators for the PML memory-variable
             # recursions (same clamped-edge treatment as the Laplacian).
             d1 = np.array([-0.5, 0.0, 0.5])
-            self._d1_z = (d1 / self.config.dz).astype(real, copy=False)
-            self._d1_x = (d1 / self.config.dx).astype(real, copy=False)
-            if not self._use_ndimage:
-                self._d1z_op = (_stencil_matrix(nz, d1)
-                                / self.config.dz).astype(real, copy=False)
-                self._d1x_op_t = ((_stencil_matrix(nx, d1) / self.config.dx)
-                                  .astype(real, copy=False).T)
+            self._d1z_op = (_stencil_matrix(nz, d1)
+                            / self.config.dz).astype(real, copy=False)
+            self._d1x_op_t = ((_stencil_matrix(nx, d1) / self.config.dx)
+                              .astype(real, copy=False).T)
 
     @property
     def grid_shape(self) -> Tuple[int, int]:
@@ -562,20 +540,12 @@ class BatchedAcousticSimulator2D:
     # ------------------------------------------------------------------ #
     def _lap_z_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Second z-derivative of ``field`` written into ``out``."""
-        if self._use_ndimage:
-            _correlate1d(field, self._coeffs_z, axis=-2, mode="nearest",
-                         output=out)
-        else:
-            np.matmul(self._dz_op, field, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
+        np.matmul(self._dz_op, field, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
         return out
 
     def _lap_x_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Second x-derivative of ``field`` written into ``out``."""
-        if self._use_ndimage:
-            _correlate1d(field, self._coeffs_x, axis=-1, mode="nearest",
-                         output=out)
-        else:
-            np.matmul(field, self._dx_op_t, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
+        np.matmul(field, self._dx_op_t, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
         return out
 
     def _laplacian_into(self, field: np.ndarray, out: np.ndarray,
@@ -588,20 +558,12 @@ class BatchedAcousticSimulator2D:
 
     def _d1z_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Centred first z-derivative (PML recursions only)."""
-        if self._use_ndimage:
-            _correlate1d(field, self._d1_z, axis=-2, mode="nearest",
-                         output=out)
-        else:
-            np.matmul(self._d1z_op, field, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
+        np.matmul(self._d1z_op, field, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
         return out
 
     def _d1x_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Centred first x-derivative (PML recursions only)."""
-        if self._use_ndimage:
-            _correlate1d(field, self._d1_x, axis=-1, mode="nearest",
-                         output=out)
-        else:
-            np.matmul(field, self._d1x_op_t, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
+        np.matmul(field, self._d1x_op_t, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
         return out
 
     # ------------------------------------------------------------------ #
@@ -707,8 +669,6 @@ class BatchedAcousticSimulator2D:
         lap_x = np.empty_like(p_prev)
         flat_views = {id(buf): buf.reshape(-1, nz * nx)
                       for buf in (p_prev, p_curr, p_next)}
-        line_views = {id(buf): buf.reshape(-1)
-                      for buf in (p_prev, p_curr, p_next)}
 
         total_batch = int(np.prod(batch_shape))
         # Every (step, receiver) entry is assigned exactly once in the loop.
@@ -721,17 +681,6 @@ class BatchedAcousticSimulator2D:
         inject_rows = np.arange(total_batch)
         inject_cols = np.tile(src_flat, total_batch // n_shots)
         inject_amps = scaled_wavelets.reshape(total_batch, n_steps)
-
-        # Hoist per-step lookups out of the hot loop.  BLAS axpy is picked to
-        # match the buffer precision (daxpy for float64, saxpy for float32);
-        # other precisions fall back to the three-pass in-place update.
-        mask = self._mask
-        if real == np.dtype(np.float64):
-            axpy = _daxpy
-        elif real == np.dtype(np.float32):
-            axpy = _saxpy
-        else:  # pragma: no cover - no such policy today
-            axpy = None
 
         # The causal edge of the discrete wavefront decays super-exponentially
         # through every representable magnitude, so at reduced precision a
@@ -771,12 +720,13 @@ class BatchedAcousticSimulator2D:
             total_batch=total_batch, n_shots=n_shots,
             real=real, flush_cutoff=flush_cutoff,
             p_prev=p_prev, p_curr=p_curr, p_next=p_next,
-            lap=lap, lap_x=lap_x, c2dt2=c2dt2, mask=mask, pml=pml_state,
+            lap=lap, lap_x=lap_x, c2dt2=c2dt2, mask=self._mask,
+            pml=pml_state,
             src_rows=src_rows, src_cols=src_cols,
             rec_rows=rec_rows, rec_cols=rec_cols, rec_flat=rec_flat,
             inject_rows=inject_rows, inject_cols=inject_cols,
             inject_amps=inject_amps,
-            flat_views=flat_views, line_views=line_views, axpy=axpy,
+            flat_views=flat_views,
             gather=gather, gather_flat=gather_flat)
 
         kernel, fallback_reason = resolve_kernel(

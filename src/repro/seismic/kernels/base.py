@@ -16,7 +16,7 @@ fused compiled kernels are interchangeable behind the same seam.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,10 +98,6 @@ class KernelPlan:
     inject_cols: np.ndarray
     inject_amps: np.ndarray
     flat_views: Dict[int, np.ndarray]
-    line_views: Dict[int, np.ndarray]
-    #: BLAS axpy matched to the buffer precision, or ``None`` for the
-    #: three-pass in-place update.
-    axpy: Optional[Callable]
     gather: np.ndarray
     gather_flat: np.ndarray
     snapshots: List[np.ndarray] = field(default_factory=list)

@@ -1,19 +1,19 @@
 """Vectorised numpy time loop — the always-available reference kernel.
 
-This is the hot loop that used to live inline in
-:class:`~repro.seismic.acoustic2d.BatchedAcousticSimulator2D.simulate_shots`,
-moved behind the kernel seam *without changing a single array operation*:
-the sponge path below executes the identical op sequence (laplacian pass,
-``np.multiply`` + axpy update, flattened-view injection, mask damping,
-flattened-view recording, subnormal flushing), so gathers — and therefore
-every dataset fingerprint — are bit-identical to the pre-kernel code.
+Every step of the sponge path is a fixed sequence of whole-batch numpy
+operations on preallocated buffers: the banded-matmul Laplacian, the
+leap-frog update as in-place ufuncs (``np.multiply`` then
+``p_next -= p_prev`` and ``p_next += p_curr`` twice), flattened-view
+injection, mask damping, flattened-view recording and, at reduced
+precision, periodic subnormal flushing.  The loop calls into no BLAS other
+than numpy's own, whatever the dtype.
 
 The PML path replaces the mask multiply with the CFS-PML memory-variable
 recursions of Pasalic & McGarry (2010): per axis, ``psi`` convolves the
 first spatial derivative and ``zeta`` the corrected second derivative, and
 ``lap + d(psi) + zeta`` stands in for the plain laplacian inside the pads.
 Elementwise recursion updates run on the pad strips only; the derivative
-passes reuse the simulator's stencil operators (ndimage or banded matmul).
+passes reuse the simulator's banded-matmul stencil operators.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.seismic.kernels.base import KernelPlan, PropagatorKernel
 
 
 class PythonKernel(PropagatorKernel):
-    """Whole-batch numpy loop; bit-identical to the historical inline loop."""
+    """Whole-batch numpy loop: banded-matmul stencil, in-place ufunc update."""
 
     name = "python"
     supports_snapshots = True
@@ -38,14 +38,14 @@ class PythonKernel(PropagatorKernel):
             self._run_sponge(plan)
 
     # ------------------------------------------------------------------ #
-    # sponge (historical) path
+    # sponge path
     # ------------------------------------------------------------------ #
     def _run_sponge(self, plan: KernelPlan) -> None:
         p_prev, p_curr, p_next = plan.p_prev, plan.p_curr, plan.p_next
         lap, lap_x = plan.lap, plan.lap_x
         c2dt2 = plan.c2dt2
         mask = plan.mask
-        flat_views, line_views = plan.flat_views, plan.line_views
+        flat_views = plan.flat_views
         inject_rows, inject_cols = plan.inject_rows, plan.inject_cols
         inject_amps = plan.inject_amps
         rec_flat = plan.rec_flat
@@ -55,8 +55,6 @@ class PythonKernel(PropagatorKernel):
         record_wavefield = plan.record_wavefield
         wavefield_stride = plan.wavefield_stride
         snapshots = plan.snapshots
-        axpy = plan.axpy
-        use_axpy = axpy is not None
         laplacian_into = plan.ops._laplacian_into
         flush_cutoff = plan.flush_cutoff
         flush_tiny = flush_cutoff is not None
@@ -77,16 +75,9 @@ class PythonKernel(PropagatorKernel):
                 t1 = perf_counter()
                 t_laplacian += t1 - t0
             np.multiply(lap, c2dt2, out=p_next)
-            if use_axpy:
-                # One fused pass per term (y += a*x); 2*p is bit-identical
-                # to p + p, so this only reorders the summation.
-                next_line = line_views[id(p_next)]
-                axpy(line_views[id(p_prev)], next_line, a=-1.0)
-                axpy(line_views[id(p_curr)], next_line, a=2.0)
-            else:
-                p_next -= p_prev
-                p_next += p_curr
-                p_next += p_curr
+            p_next -= p_prev
+            p_next += p_curr
+            p_next += p_curr
             if timing:
                 t2 = perf_counter()
                 t_update += t2 - t1
@@ -136,7 +127,7 @@ class PythonKernel(PropagatorKernel):
         p_prev, p_curr, p_next = plan.p_prev, plan.p_curr, plan.p_next
         lap, lap_x = plan.lap, plan.lap_x
         c2dt2 = plan.c2dt2
-        flat_views, line_views = plan.flat_views, plan.line_views
+        flat_views = plan.flat_views
         inject_rows, inject_cols = plan.inject_rows, plan.inject_cols
         inject_amps = plan.inject_amps
         rec_flat = plan.rec_flat
@@ -146,8 +137,6 @@ class PythonKernel(PropagatorKernel):
         record_wavefield = plan.record_wavefield
         wavefield_stride = plan.wavefield_stride
         snapshots = plan.snapshots
-        axpy = plan.axpy
-        use_axpy = axpy is not None
         ops = plan.ops
         flush_cutoff = plan.flush_cutoff
         flush_tiny = flush_cutoff is not None
@@ -210,14 +199,9 @@ class PythonKernel(PropagatorKernel):
                 t_boundary += t2 - t1
 
             np.multiply(lap, c2dt2, out=p_next)
-            if use_axpy:
-                next_line = line_views[id(p_next)]
-                axpy(line_views[id(p_prev)], next_line, a=-1.0)
-                axpy(line_views[id(p_curr)], next_line, a=2.0)
-            else:
-                p_next -= p_prev
-                p_next += p_curr
-                p_next += p_curr
+            p_next -= p_prev
+            p_next += p_curr
+            p_next += p_curr
             if timing:
                 t3 = perf_counter()
                 t_update += t3 - t2

@@ -21,6 +21,7 @@ from repro.quantum.statevector import Statevector
 from repro.seismic import (
     AcousticSimulator2D,
     BatchedAcousticSimulator2D,
+    PMLBoundary,
     SimulationConfig,
     SpongeBoundary,
     VelocityModelConfig,
@@ -216,18 +217,26 @@ def test_float32_batched_adjoint_parity_relaxed():
     np.testing.assert_allclose(grads32, grads64, atol=F32_ATOL, rtol=0)
 
 
-def test_float32_batched_propagator_parity_relaxed():
+@pytest.mark.parametrize("boundary", [
+    SpongeBoundary(width=4),
+    PMLBoundary(width=6, pad_grid=True),
+], ids=["sponge", "pml-pad-grid"])
+def test_float32_batched_propagator_parity_relaxed(boundary):
     velocity = flat_layer_model(
         VelocityModelConfig(shape=(24, 24), min_velocity=1500.0,
                             max_velocity=3500.0), rng=3)
     dt = stable_time_step(3500.0, dx=10.0, spatial_order=4)
     config = SimulationConfig(dx=10.0, dz=10.0, dt=dt, n_steps=50,
-                              spatial_order=4,
-                              boundary=SpongeBoundary(width=4))
+                              spatial_order=4, boundary=boundary)
     wavelet = ricker_wavelet(config.n_steps, config.dt, 12.0)
     sources = [(1, 3), (1, 12), (1, 20)]
     receivers = [(1, c) for c in range(0, 24, 3)]
-    reference = AcousticSimulator2D(velocity, config).simulate_shots(
+    # The scalar engine has no PML; there the float64 batched gather is
+    # the reference.
+    reference_engine = (AcousticSimulator2D
+                        if isinstance(boundary, SpongeBoundary)
+                        else BatchedAcousticSimulator2D)
+    reference = reference_engine(velocity, config).simulate_shots(
         sources, wavelet, receivers)
     result = BatchedAcousticSimulator2D(
         velocity, config, policy="float32").simulate_shots(
