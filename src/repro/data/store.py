@@ -63,7 +63,7 @@ PathLike = Union[str, "os.PathLike[str]"]
 #: Bump when the generation code changes the bits it produces for the same
 #: configuration (new physics, different normalization, ...).  Part of the
 #: fingerprint, so stale cache entries are never served.
-DATA_FORMAT_VERSION = 2
+DATA_FORMAT_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -102,7 +102,8 @@ class SimulationConfig:
     dt: float = 0.001
     n_steps: int = 1000
     spatial_order: int = 4
-    boundary: SpongeBoundary = field(default_factory=SpongeBoundary)
+    boundary: Union[SpongeBoundary, PMLBoundary] = field(
+        default_factory=SpongeBoundary)
     record_every: int = 1
 
     def __post_init__(self) -> None:
@@ -399,17 +400,8 @@ def _dilate_bool(mask: np.ndarray) -> np.ndarray:
 
 def _bool_runs(mask: np.ndarray) -> List[slice]:
     """Contiguous ``True`` runs of a 1-D boolean array, as slices."""
-    runs: List[slice] = []
-    start = None
-    for index, value in enumerate(mask):
-        if value and start is None:
-            start = index
-        elif not value and start is not None:
-            runs.append(slice(start, index))
-            start = None
-    if start is not None:
-        runs.append(slice(start, mask.size))
-    return runs
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return [slice(int(lo), int(hi)) for lo, hi in zip(edges[::2], edges[1::2])]
 
 
 class BatchedAcousticSimulator2D:
@@ -490,9 +482,12 @@ class BatchedAcousticSimulator2D:
         if self._is_pml:
             boundary.validate_grid((nz, nx))
             self._mask = None
-            self._pml_profiles = boundary.profiles(
-                (nz, nx), self.config.dx, self.config.dz, self.config.dt,
-                float(self.velocity.max()))
+            # Tables in the wavefield dtype: float64 tables would send every
+            # float32 strip ufunc through cast buffers.
+            self._pml_profiles = tuple(
+                table.astype(real, copy=False) for table in boundary.profiles(
+                    (nz, nx), self.config.dx, self.config.dz, self.config.dt,
+                    float(self.velocity.max())))
         else:
             self._mask = boundary.build_mask((nz, nx)).astype(real, copy=False)
             self._pml_profiles = None
@@ -506,14 +501,6 @@ class BatchedAcousticSimulator2D:
                        / self.config.dz**2).astype(real, copy=False)
         self._dx_op_t = ((_stencil_matrix(nx, coeffs) / self.config.dx**2)
                          .astype(real, copy=False).T)
-        if self._is_pml:
-            # Centred first-derivative operators for the PML memory-variable
-            # recursions (same clamped-edge treatment as the Laplacian).
-            d1 = np.array([-0.5, 0.0, 0.5])
-            self._d1z_op = (_stencil_matrix(nz, d1)
-                            / self.config.dz).astype(real, copy=False)
-            self._d1x_op_t = ((_stencil_matrix(nx, d1) / self.config.dx)
-                              .astype(real, copy=False).T)
 
     @property
     def grid_shape(self) -> Tuple[int, int]:
@@ -554,16 +541,6 @@ class BatchedAcousticSimulator2D:
         self._lap_z_into(field, out)
         self._lap_x_into(field, scratch)
         out += scratch
-        return out
-
-    def _d1z_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Centred first z-derivative (PML recursions only)."""
-        np.matmul(self._d1z_op, field, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
-        return out
-
-    def _d1x_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Centred first x-derivative (PML recursions only)."""
-        np.matmul(field, self._d1x_op_t, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
         return out
 
     # ------------------------------------------------------------------ #
@@ -697,10 +674,8 @@ class BatchedAcousticSimulator2D:
         pml_state = None
         if self._is_pml:
             a_x, b_x, a_z, b_z = self._pml_profiles
-            pad_x = a_x != 0.0
-            pad_z = a_z != 0.0
-            halo_x = _dilate_bool(pad_x)
-            halo_z = _dilate_bool(pad_z)
+            halo_x = _dilate_bool(a_x != 0.0)
+            halo_z = _dilate_bool(a_z != 0.0)
             pml_state = PMLState(
                 a_x=a_x, b_x=b_x, a_z=a_z, b_z=b_z,
                 x_active=halo_x, z_active=halo_z,
@@ -708,7 +683,6 @@ class BatchedAcousticSimulator2D:
                 half_dz_inv=0.5 / self.config.dz,
                 psi_x=np.zeros_like(p_prev), psi_z=np.zeros_like(p_prev),
                 zeta_x=np.zeros_like(p_prev), zeta_z=np.zeros_like(p_prev),
-                x_strips=_bool_runs(pad_x), z_strips=_bool_runs(pad_z),
                 x_halo=_bool_runs(halo_x), z_halo=_bool_runs(halo_z))
 
         plan = KernelPlan(

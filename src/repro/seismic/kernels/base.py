@@ -26,11 +26,14 @@ class PMLState:
     """Per-run CFS-PML coefficient tables and memory fields.
 
     The recursion coefficients (``a_*``, ``b_*``) are 1-D per-axis tables
-    from :func:`repro.seismic.boundary.pml_profiles`; both are exactly zero
-    outside the absorbing pads, so the memory fields — allocated over the
-    full batched grid for kernel simplicity — stay zero in the interior.
-    ``x_active`` / ``z_active`` mark pad columns/rows *dilated by one cell*:
-    the derivative-of-psi correction reaches one cell past the pad.
+    from :func:`repro.seismic.boundary.pml_profiles`, cast to the wavefield
+    dtype; both are exactly zero outside the absorbing pads, so the memory
+    fields — allocated over the full batched grid for kernel simplicity —
+    stay zero in the interior.  ``x_active`` / ``z_active`` mark pad
+    columns/rows *dilated by one cell*: the derivative-of-psi correction
+    reaches one cell past the pad.  ``x_halo`` / ``z_halo`` are the same
+    dilated pads as contiguous runs, the only cells the python kernel's
+    recursions touch.
     """
 
     a_x: np.ndarray
@@ -47,11 +50,8 @@ class PMLState:
     psi_z: np.ndarray
     zeta_x: np.ndarray
     zeta_z: np.ndarray
-    #: Column/row slices of the pads (where ``a`` is non-zero) and the
-    #: one-cell-dilated halo slices (where corrections are non-zero), for
-    #: the vectorised python path.
-    x_strips: List[slice] = field(default_factory=list)
-    z_strips: List[slice] = field(default_factory=list)
+    #: Column/row slices of the one-cell-dilated pads (where corrections
+    #: are non-zero), for the vectorised python path.
     x_halo: List[slice] = field(default_factory=list)
     z_halo: List[slice] = field(default_factory=list)
 
@@ -61,8 +61,8 @@ class KernelPlan:
     """Everything a time-loop kernel needs, preassembled by the simulator."""
 
     #: The owning simulator; exposes the vectorised stencil operators
-    #: (``_laplacian_into`` / ``_lap_z_into`` / ``_lap_x_into`` /
-    #: ``_d1x_into`` / ``_d1z_into``) the python kernel calls per step.
+    #: (``_laplacian_into`` / ``_lap_z_into`` / ``_lap_x_into``) the python
+    #: kernel calls per step.
     ops: object
     telemetry: object
     n_steps: int

@@ -12,8 +12,10 @@ The PML path replaces the mask multiply with the CFS-PML memory-variable
 recursions of Pasalic & McGarry (2010): per axis, ``psi`` convolves the
 first spatial derivative and ``zeta`` the corrected second derivative, and
 ``lap + d(psi) + zeta`` stands in for the plain laplacian inside the pads.
-Elementwise recursion updates run on the pad strips only; the derivative
-passes reuse the simulator's banded-matmul stencil operators.
+The recursions are strip-local: the first derivatives of ``p`` and ``psi``
+are clamped 3-tap centred differences taken only on the pads dilated by
+one cell (the halo runs), and the ``psi``/``zeta`` updates and the
+laplacian correction run on the same slices, one pass per run.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from time import perf_counter
 import numpy as np
 
 from repro.seismic.kernels.base import KernelPlan, PropagatorKernel
+
+#: Loop phases timed per step, in the order ``_record_phases`` takes them.
+_PHASES = ("laplacian", "update", "inject", "boundary", "record")
 
 
 class PythonKernel(PropagatorKernel):
@@ -109,16 +114,8 @@ class PythonKernel(PropagatorKernel):
             p_prev, p_curr, p_next = p_curr, p_next, p_prev
 
         if timing:
-            telemetry.record_timer("propagator.laplacian", t_laplacian,
-                                   count=n_steps)
-            telemetry.record_timer("propagator.update", t_update,
-                                   count=n_steps)
-            telemetry.record_timer("propagator.inject", t_inject,
-                                   count=n_steps)
-            telemetry.record_timer("propagator.boundary", t_boundary,
-                                   count=n_steps)
-            telemetry.record_timer("propagator.record", t_record,
-                                   count=n_steps)
+            _record_phases(telemetry, n_steps, t_laplacian, t_update,
+                           t_inject, t_boundary, t_record)
 
     # ------------------------------------------------------------------ #
     # CFS-PML path
@@ -142,15 +139,10 @@ class PythonKernel(PropagatorKernel):
         flush_tiny = flush_cutoff is not None
 
         pml = plan.pml
-        a_x, b_x = pml.a_x, pml.b_x
-        a_z, b_z = pml.a_z, pml.b_z
-        psi_x, psi_z = pml.psi_x, pml.psi_z
-        zeta_x, zeta_z = pml.zeta_x, pml.zeta_z
-        x_strips, z_strips = pml.x_strips, pml.z_strips
-        x_halo, z_halo = pml.x_halo, pml.z_halo
-        # First-derivative scratch (two buffers reused per axis phase).
-        d1 = np.empty_like(p_curr)
-        d1_psi = np.empty_like(p_curr)
+        x_runs = _halo_runs(pml.x_halo, pml.a_x, pml.b_x, p_curr, on_x=True)
+        z_runs = _halo_runs(pml.z_halo, pml.a_z, pml.b_z, p_curr, on_x=False)
+        axes = ((x_runs, pml.psi_x, pml.zeta_x, lap_x, pml.half_dx_inv),
+                (z_runs, pml.psi_z, pml.zeta_z, lap, pml.half_dz_inv))
 
         telemetry = plan.telemetry
         timing = telemetry.enabled
@@ -166,33 +158,32 @@ class PythonKernel(PropagatorKernel):
                 t1 = perf_counter()
                 t_laplacian += t1 - t0
 
-            # Memory-variable recursions, x axis then z axis.  psi convolves
-            # the first derivative; zeta convolves the corrected second
-            # derivative; both recursions touch only the pad strips, where
-            # a/b are non-zero.
-            ops._d1x_into(p_curr, d1)
-            for sl in x_strips:
-                psi_x[..., :, sl] *= b_x[sl]
-                psi_x[..., :, sl] += a_x[sl] * d1[..., :, sl]
-            ops._d1x_into(psi_x, d1_psi)
-            for sl in x_strips:
-                zeta_x[..., :, sl] *= b_x[sl]
-                zeta_x[..., :, sl] += a_x[sl] * (lap_x[..., :, sl]
-                                                 + d1_psi[..., :, sl])
-            for sl in x_halo:
-                lap_x[..., :, sl] += d1_psi[..., :, sl] + zeta_x[..., :, sl]
-
-            ops._d1z_into(p_curr, d1)
-            for sl in z_strips:
-                psi_z[..., sl, :] *= b_z[sl, None]
-                psi_z[..., sl, :] += a_z[sl, None] * d1[..., sl, :]
-            ops._d1z_into(psi_z, d1_psi)
-            for sl in z_strips:
-                zeta_z[..., sl, :] *= b_z[sl, None]
-                zeta_z[..., sl, :] += a_z[sl, None] * (lap[..., sl, :]
-                                                       + d1_psi[..., sl, :])
-            for sl in z_halo:
-                lap[..., sl, :] += d1_psi[..., sl, :] + zeta_z[..., sl, :]
+            # Memory-variable recursions, x axis then z axis, one pass per
+            # halo run.  psi convolves the first derivative of p; zeta
+            # convolves the second derivative corrected by d(psi); the
+            # plain second derivative then gains d(psi) + zeta.  a == b == 0
+            # on the halo's extra cell and beyond, so psi is zero wherever
+            # d(psi) reads outside the run it has just updated.
+            for runs, psi, zeta, lap_axis, half_inv in axes:
+                for cells, taps, a, b, d, t in runs:
+                    for out, plus, minus in taps:
+                        np.subtract(p_curr[plus], p_curr[minus], out=d[out])
+                    d *= half_inv
+                    d *= a
+                    psi_run = psi[cells]
+                    psi_run *= b
+                    psi_run += d
+                    for out, plus, minus in taps:
+                        np.subtract(psi[plus], psi[minus], out=d[out])
+                    d *= half_inv
+                    lap_run = lap_axis[cells]
+                    np.add(lap_run, d, out=t)
+                    t *= a
+                    zeta_run = zeta[cells]
+                    zeta_run *= b
+                    zeta_run += t
+                    d += zeta_run
+                    lap_run += d
             lap += lap_x
             if timing:
                 t2 = perf_counter()
@@ -225,13 +216,43 @@ class PythonKernel(PropagatorKernel):
             p_prev, p_curr, p_next = p_curr, p_next, p_prev
 
         if timing:
-            telemetry.record_timer("propagator.laplacian", t_laplacian,
-                                   count=n_steps)
-            telemetry.record_timer("propagator.update", t_update,
-                                   count=n_steps)
-            telemetry.record_timer("propagator.inject", t_inject,
-                                   count=n_steps)
-            telemetry.record_timer("propagator.boundary", t_boundary,
-                                   count=n_steps)
-            telemetry.record_timer("propagator.record", t_record,
-                                   count=n_steps)
+            _record_phases(telemetry, n_steps, t_laplacian, t_update,
+                           t_inject, t_boundary, t_record)
+
+
+
+def _record_phases(telemetry, n_steps, *seconds):
+    """Flush the per-phase loop timers to the registry, once per run."""
+    for phase, total in zip(_PHASES, seconds):
+        telemetry.record_timer(f"propagator.{phase}", total, count=n_steps)
+
+
+def _halo_runs(halo, a, b, like, on_x):
+    """Slicing recipe of the strip-local recursions, one entry per halo run.
+
+    An entry holds the run's cell index, the ``(out, plus, minus)`` indices
+    of its centred difference (clamped at the grid edge like the fused
+    loop), the run's ``a``/``b`` shaped to broadcast over it, and two
+    run-sized scratch buffers.
+    """
+    n = like.shape[-1 if on_x else -2]
+
+    def at(sl):
+        return (Ellipsis, sl) if on_x else (Ellipsis, sl, slice(None))
+
+    runs = []
+    for run in halo:
+        start, stop = run.start, run.stop
+        lo, hi = max(start, 1), min(stop, n - 1)
+        taps = [(slice(lo - start, hi - start), slice(lo + 1, hi + 1),
+                 slice(lo - 1, hi - 1))]
+        if start == 0:
+            taps.append((slice(0, 1), slice(1, 2), slice(0, 1)))
+        if stop == n:
+            taps.append((slice(n - 1 - start, n - start), slice(n - 1, n),
+                         slice(n - 2, n - 1)))
+        coeff = run if on_x else (run, None)
+        scratch = np.empty_like(like[at(run)])
+        runs.append((at(run), [tuple(map(at, tap)) for tap in taps],
+                     a[coeff], b[coeff], scratch, np.empty_like(scratch)))
+    return runs

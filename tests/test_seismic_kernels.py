@@ -159,9 +159,19 @@ class TestFusedKernelParity:
                 sources, wavelet, receivers)
         np.testing.assert_allclose(fused, expected, atol=1e-10, rtol=0.0)
 
-    def test_pml_matches_python_kernel(self):
+    @pytest.mark.parametrize("free_surface, n_models", [
+        (True, None),
+        (False, None),
+        (True, 2),
+    ], ids=["free-surface", "top-pad", "model-batch"])
+    def test_pml_matches_python_kernel(self, free_surface, n_models):
+        # A top pad gives two z halo runs; a model stack gives an (M, S)
+        # batch, so the per-run slicing is exercised on both layouts.
         velocity, config, sources, receivers, wavelet = small_setup(
-            boundary=PMLBoundary(width=6))
+            boundary=PMLBoundary(width=6, free_surface=free_surface))
+        if n_models is not None:
+            velocity = np.stack([velocity * (1.0 - 0.1 * m)
+                                 for m in range(n_models)])
         expected = BatchedAcousticSimulator2D(
             velocity, config, kernel="python").simulate_shots(
                 sources, wavelet, receivers)
