@@ -1,10 +1,8 @@
 """Benchmark — simulation backends across qubit counts and batch sizes.
 
 Times a batched forward pass of the paper's U3+CU3 ansatz on every registered
-simulation backend.  The loop backend executes the batch as a Python loop of
-per-gate statevector updates; the einsum backend executes the whole batch as
-stacked contractions, which is where QuBatch mini-batches and stacked
-parameter-shift sweeps get their speedup.
+simulation backend whose array module is installed: the einsum engine on
+NumPy, and the same engine on torch where torch is importable.
 
 Run directly (CI uses ``--quick``)::
 
@@ -19,14 +17,13 @@ from __future__ import annotations
 import argparse
 import time
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 from common import (add_cache_dir_argument, add_json_argument,
                     apply_cache_dir, write_json)
 
 from repro.backends import available_backends, get_backend
-from repro.xm import array_module_available
 from repro.quantum.ansatz import u3_cu3_ansatz
 from repro.utils.tables import format_table
 
@@ -51,40 +48,29 @@ def time_backend(backend, circuit, states, params, repeats: int) -> float:
 
 def run_benchmark(qubit_counts: Sequence[int], batch_sizes: Sequence[int],
                   n_blocks: int, repeats: int,
-                  backend_names: Sequence[str]) -> Tuple[List[List[object]], Dict]:
-    """Return table rows and the speedup map ``{(n_qubits, batch): factor}``."""
+                  backend_names: Sequence[str]) -> List[List[object]]:
+    """Return one table row per backend, qubit count and batch size."""
     rng = np.random.default_rng(0)
     rows: List[List[object]] = []
-    speedups: Dict[Tuple[int, int], float] = {}
-    baseline_name = backend_names[0]
     for n_qubits in qubit_counts:
         circuit = u3_cu3_ansatz(n_qubits, n_blocks=n_blocks)
         params = rng.normal(size=circuit.n_params)
         for batch in batch_sizes:
             states = _random_states(n_qubits, batch, rng)
-            timings = {}
             for name in backend_names:
                 backend = get_backend(name)
                 # Warm up caches (einsum subscripts, fixed-gate tensors).
                 backend.run_batched(circuit, states, params)
-                timings[name] = time_backend(backend, circuit, states, params,
-                                             repeats)
-            baseline = timings[baseline_name]
-            for name in backend_names:
-                elapsed = timings[name]
-                factor = baseline / elapsed if elapsed > 0 else float("inf")
-                if name != baseline_name:
-                    speedups[(n_qubits, batch)] = factor
+                elapsed = time_backend(backend, circuit, states, params,
+                                       repeats)
                 rows.append([name, n_qubits, batch, len(circuit),
-                             elapsed * 1e3, elapsed * 1e3 / batch,
-                             f"{factor:.2f}x"])
-    return rows, speedups
+                             elapsed * 1e3, elapsed * 1e3 / batch])
+    return rows
 
 
 def render(rows: List[List[object]]) -> str:
     return format_table(
-        ["backend", "qubits", "batch", "gates", "total ms", "ms/sample",
-         "vs loop"],
+        ["backend", "qubits", "batch", "gates", "total ms", "ms/sample"],
         rows,
         title="Backend comparison: batched forward pass of the U3+CU3 ansatz")
 
@@ -97,11 +83,6 @@ def main() -> int:
                         help="ansatz blocks (paper uses 12)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats per cell (best is reported)")
-    parser.add_argument("--assert-speedup", type=float, default=None,
-                        metavar="FACTOR",
-                        help="exit non-zero unless the einsum backend beats "
-                             "the loop backend by FACTOR at batch >= 8 and "
-                             ">= 6 qubits")
     add_json_argument(parser)
     add_cache_dir_argument(parser)
     args = parser.parse_args()
@@ -111,14 +92,14 @@ def main() -> int:
         qubit_counts, batch_sizes = (4, 6, 8), (1, 8)
     else:
         qubit_counts, batch_sizes = (4, 6, 8, 10), (1, 8, 32)
-    backend_names = [name for name in ("numpy", "einsum")
-                     if name in available_backends()]
-    # Optional array-module engines join the table when their library is
-    # importable; on the core image they are registered but unavailable.
-    backend_names += [name for name in ("torch", "cupy")
-                      if name in available_backends()
-                      and array_module_available(name)]
-    rows, speedups = run_benchmark(qubit_counts, batch_sizes, args.blocks,
+    backend_names = []
+    for name in available_backends():
+        try:
+            get_backend(name)
+        except ImportError:  # an optional array module, not installed here
+            continue
+        backend_names.append(name)
+    rows = run_benchmark(qubit_counts, batch_sizes, args.blocks,
                                    args.repeats, backend_names)
     text = render(rows)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
@@ -128,23 +109,11 @@ def main() -> int:
     print(f"[written to {path}]")
     if args.json is not None:
         header = ["backend", "qubits", "batch", "gates", "total_ms",
-                  "ms_per_sample", "vs_loop"]
+                  "ms_per_sample"]
         write_json("bench_backends",
                    {"n_blocks": args.blocks,
-                    "rows": [dict(zip(header, row)) for row in rows],
-                    "speedups": {f"{q}q_b{b}": factor
-                                 for (q, b), factor in speedups.items()}},
+                    "rows": [dict(zip(header, row)) for row in rows]},
                    path=args.json)
-
-    relevant = {key: factor for key, factor in speedups.items()
-                if key[0] >= 6 and key[1] >= 8}
-    if relevant:
-        best = max(relevant.values())
-        print(f"einsum vs loop at batch >= 8, >= 6 qubits: best "
-              f"{best:.2f}x, worst {min(relevant.values()):.2f}x")
-        if args.assert_speedup is not None and best < args.assert_speedup:
-            print(f"FAIL: expected >= {args.assert_speedup:.2f}x")
-            return 1
     return 0
 
 

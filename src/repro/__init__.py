@@ -8,8 +8,8 @@ The package is organised as:
   the training / experiment harnesses.
 * :mod:`repro.quantum` — NumPy statevector simulator with analytic gradients.
 * :mod:`repro.backends` — pluggable simulation engines behind a registry
-  (per-gate loop, vectorised batched einsum; the seam for GPU / sparse /
-  remote backends).
+  (vectorised batched einsum, on NumPy or torch arrays; the seam for GPU /
+  sparse / remote backends).
 * :mod:`repro.nn` — small autograd / neural-network substrate for the
   classical components.
 * :mod:`repro.seismic` — acoustic forward modelling and velocity-model

@@ -1,15 +1,15 @@
 """QG003 — xm-seamed modules route arithmetic kernels through ``ArrayOps``.
 
 Contract guarded: :class:`repro.xm.ArrayOps` is the narrow waist between the
-numeric engines and the array library (NumPy / CuPy / PyTorch).  Inside the
+numeric engines and the array library (NumPy / PyTorch).  Inside the
 seamed modules, a raw ``np.einsum`` / ``np.matmul`` pins the computation to
 host NumPy and silently breaks the GPU path for every engine built on the
 seam.
 
 The rule checks the *arithmetic kernels* ``ArrayOps`` dispatches (einsum,
 matmul, multiply, dot, tensordot).  Deliberate host-NumPy branches — the
-einsum backend's ``einsum_path``-optimised fast path, the per-gate
-reference engine, the BLAS-matmul Laplacian — carry per-line suppressions
+einsum backend's ``einsum_path``-optimised fast path, the adjoint
+reduced-overlap contraction, the BLAS-matmul Laplacian — carry per-line suppressions
 with rationale; new code should reach for ``self.xm`` instead.
 """
 

@@ -8,22 +8,21 @@ the :class:`SimulationBackend` interface and engines are resolved by name
 from a registry:
 
 >>> from repro.backends import get_backend
->>> get_backend("numpy")    # bit-exact per-gate loop (the default)
->>> get_backend("einsum")   # vectorised batched-statevector engine
+>>> get_backend("einsum")   # vectorised batched-statevector engine (default)
 
 The default is chosen per call site (an explicit argument or
 ``QuGeoVQCConfig.backend``), falling back to the ``QUGEO_BACKEND``
-environment variable and then to ``"numpy"``.  Future engines (GPU, sparse,
+environment variable and then to ``"einsum"``.  Future engines (GPU, sparse,
 remote hardware) plug in with :func:`register_backend` without touching any
 caller.
 
-The ``"torch"`` and ``"cupy"`` engines are the einsum engine re-based onto
-the corresponding :mod:`repro.xm` array module — same contraction strategy,
-device-resident tensors.  They are always *listed* but resolving them raises
-a clear error when the optional dependency is not installed.
+The ``"torch"`` engine is the einsum engine re-based onto the torch
+:mod:`repro.xm` array module — same contraction strategy, torch tensors.
+It is always *listed* but resolving it raises a clear error when torch is
+not installed.
 """
 
-from repro.backends.base import BackendCapabilities, SimulationBackend
+from repro.backends.base import SimulationBackend
 from repro.backends.registry import (
     BACKEND_ENV_VAR,
     BackendError,
@@ -36,7 +35,6 @@ from repro.backends.registry import (
     set_default_backend,
     unregister_backend,
 )
-from repro.backends.numpy_loop import NumpyLoopBackend
 from repro.backends.einsum_batch import EinsumBatchBackend
 
 def _array_module_backend(module_name: str):
@@ -54,18 +52,14 @@ def _array_module_backend(module_name: str):
     return backend
 
 
-register_backend("numpy", NumpyLoopBackend)
 register_backend("einsum", EinsumBatchBackend)
 register_backend("torch", lambda: _array_module_backend("torch"))
-register_backend("cupy", lambda: _array_module_backend("cupy"))
 
 __all__ = [
     "BACKEND_ENV_VAR",
-    "BackendCapabilities",
     "BackendError",
     "DuplicateBackendError",
     "EinsumBatchBackend",
-    "NumpyLoopBackend",
     "SimulationBackend",
     "UnknownBackendError",
     "available_backends",

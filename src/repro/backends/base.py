@@ -20,20 +20,14 @@ The batched adjoint contract: ``run_batched(..., return_intermediate=True)``
 returns ``(outputs, intermediates)`` where ``intermediates[i]`` is the
 ``(batch, 2**n)`` state stack *before* op ``i`` (gate fusion disabled), and
 :meth:`SimulationBackend.apply_gate_batched` applies one matrix to a whole
-stack.  Engines that implement them natively advertise
-``capabilities.batched_adjoint`` and are picked up by the trainer's batched
-gradient path; on every other backend
-:func:`repro.quantum.autodiff.circuit_gradients_batched` stays correct by
-driving the plain per-sample ``run`` / ``apply_gate`` contract instead (and
-the base class still provides correct loop fallbacks for both batched
-methods, so calling them directly is always safe).
+stack.  :func:`repro.quantum.autodiff.circuit_gradients_batched` drives the
+trainer's gradients through these two methods on every engine.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -44,57 +38,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.xm import ArrayOps, DTypePolicy
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a backend can do natively (callers may use these to pick paths).
-
-    Attributes
-    ----------
-    batched_states:
-        ``run_batched`` executes a whole stack of states in one vectorised
-        pass instead of looping.
-    batched_params:
-        ``run_batched`` accepts a ``(batch, n_params)`` parameter matrix and
-        evaluates a *different* parameter vector per state in the same pass
-        (used to stack parameter-shift sweeps).
-    gate_fusion:
-        Adjacent single-qubit gates on the same wire are fused into one
-        matrix before application.
-    adjoint:
-        ``run(..., return_intermediate=True)`` is supported, which the
-        reverse-mode gradient in :mod:`repro.quantum.autodiff` requires.
-    batched_adjoint:
-        ``run_batched(..., return_intermediate=True)`` and
-        :meth:`SimulationBackend.apply_gate_batched` execute natively on the
-        whole state stack, so
-        :func:`repro.quantum.autodiff.circuit_gradients_batched` runs a
-        mini-batch of adjoint sweeps as stacked contractions.  The base-class
-        fallbacks make the batched gradient path *correct* on every backend;
-        this flag tells callers (e.g. ``QuantumTrainer``) that it is also
-        *fast*.
-    """
-
-    batched_states: bool = False
-    batched_params: bool = False
-    gate_fusion: bool = False
-    adjoint: bool = True
-    batched_adjoint: bool = False
-
-
 class SimulationBackend(ABC):
     """Abstract statevector simulation engine.
 
-    Concrete engines implement :meth:`run` (and usually override
-    :meth:`run_batched` with something faster than the default loop) and
-    register themselves under a string key with
-    :func:`repro.backends.registry.register_backend`.
+    Concrete engines implement :meth:`run`, :meth:`run_batched` and
+    :meth:`apply_gate_batched` and register themselves under a string key
+    with :func:`repro.backends.registry.register_backend`.
     """
 
     #: Registry key and display name of the engine.
     name: str = "abstract"
-
-    #: Capability flags; override in subclasses.
-    capabilities: BackendCapabilities = BackendCapabilities()
 
     def __init__(self, xm: "ArrayOps" = None,
                  policy: "DTypePolicy" = None) -> None:
@@ -136,53 +89,20 @@ class SimulationBackend(ABC):
             ``return_intermediate`` is true.
         """
 
+    @abstractmethod
     def run_batched(self, circuit: "ParameterizedCircuit", states: np.ndarray,
                     params: Optional[np.ndarray] = None,
                     return_intermediate: bool = False):
         """Apply ``circuit`` to a ``(batch, 2**n)`` stack of statevectors.
 
-        ``params`` may be a shared ``(n_params,)`` vector or — when the
-        backend advertises ``batched_params`` — a ``(batch, n_params)``
-        matrix giving each state its own parameters.  With
+        ``params`` may be a shared ``(n_params,)`` vector or a
+        ``(batch, n_params)`` matrix giving each state its own parameters
+        (used to stack parameter-shift sweeps).  With
         ``return_intermediate`` the per-op pre-gate state stacks are also
         returned (one ``(batch, 2**n)`` array per op, in op order), which is
         the contract the batched adjoint sweep in
         :func:`repro.quantum.autodiff.circuit_gradients_batched` relies on.
-        The default implementation loops over :meth:`run`.
         """
-        states = np.asarray(states, dtype=self.policy.complex)
-        if states.ndim != 2:
-            raise ValueError("states must have shape (batch, 2**n_qubits)")
-        per_state_params = self._per_state_params(circuit, states.shape[0], params)
-        if not return_intermediate:
-            return np.stack([self.run(circuit, state, p)
-                             for state, p in zip(states, per_state_params)])
-        outputs: List[np.ndarray] = []
-        per_state: List[List[np.ndarray]] = []
-        for state, p in zip(states, per_state_params):
-            output, intermediates = self.run(circuit, state, p,
-                                             return_intermediate=True)
-            outputs.append(output)
-            per_state.append(intermediates)
-        stacked = [np.stack([row[index] for row in per_state])
-                   for index in range(len(circuit.ops))]
-        return np.stack(outputs), stacked
-
-    def _per_state_params(self, circuit: "ParameterizedCircuit", batch: int,
-                          params: Optional[np.ndarray]) -> List[Optional[np.ndarray]]:
-        """Expand ``params`` into one parameter vector per batch entry."""
-        if params is None:
-            return [None] * batch
-        params = np.asarray(params, dtype=np.float64)
-        if params.ndim <= 1:
-            return [params] * batch
-        if params.ndim == 2:
-            if params.shape[0] != batch:
-                raise ValueError(
-                    f"parameter batch {params.shape[0]} does not match "
-                    f"state batch {batch}")
-            return list(params)
-        raise ValueError("params must be a vector or a (batch, n_params) matrix")
 
     # ------------------------------------------------------------------ #
     # shared input validation (one copy of the run() contract)
@@ -233,51 +153,14 @@ class SimulationBackend(ABC):
         return apply_matrix(state, matrix, targets, n_qubits,
                             dtype=self.policy.complex)
 
+    @abstractmethod
     def apply_gate_batched(self, states: np.ndarray, matrix: np.ndarray,
                            targets: Sequence[int], n_qubits: int) -> np.ndarray:
         """Apply one gate matrix to a ``(batch, 2**n)`` state stack.
 
         The batched adjoint sweep uses this to pull the whole co-state stack
-        back through ``U^dagger`` in one call.  The default loops over
-        :meth:`apply_gate`; backends advertising ``batched_adjoint``
-        override it with a vectorised kernel.
+        back through ``U^dagger`` in one call.
         """
-        states = np.asarray(states, dtype=self.policy.complex)
-        if states.ndim != 2:
-            raise ValueError("states must have shape (batch, 2**n_qubits)")
-        return np.stack([self.apply_gate(state, matrix, targets, n_qubits)
-                         for state in states])
-
-    # ------------------------------------------------------------------ #
-    # measurement heads
-    # ------------------------------------------------------------------ #
-    def expectation(self, circuit: "ParameterizedCircuit", state: np.ndarray,
-                    params: Optional[np.ndarray] = None,
-                    qubits: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Pauli-Z expectations of ``qubits`` on the circuit's output state.
-
-        ``qubits`` defaults to the full register.  This is the read-out used
-        by the layer-wise (Q-M-LY) decoder.
-        """
-        from repro.quantum.measurement import z_expectations
-
-        if qubits is None:
-            qubits = tuple(range(circuit.n_qubits))
-        output = self.run(circuit, state, params)
-        return z_expectations(output, qubits, circuit.n_qubits)
-
-    def expectation_batched(self, circuit: "ParameterizedCircuit",
-                            states: np.ndarray,
-                            params: Optional[np.ndarray] = None,
-                            qubits: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Per-state Z expectations, shape ``(batch, len(qubits))``."""
-        from repro.quantum.measurement import z_expectations
-
-        if qubits is None:
-            qubits = tuple(range(circuit.n_qubits))
-        outputs = self.run_batched(circuit, states, params)
-        return np.stack([z_expectations(out, qubits, circuit.n_qubits)
-                         for out in outputs])
 
     # ------------------------------------------------------------------ #
     # misc

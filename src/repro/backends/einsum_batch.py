@@ -21,7 +21,7 @@ Three optimisations on top of the plain batched contraction:
   stack without a Python loop via
   :meth:`repro.quantum.parametric.ParametricGate.matrix_stack`.
 
-The engine also advertises ``batched_adjoint``: ``run_batched(...,
+It is the production engine of every circuit run: ``run_batched(...,
 return_intermediate=True)`` records the pre-gate state stack of every op and
 :meth:`EinsumBatchBackend.apply_gate_batched` pulls a whole co-state stack
 through one matrix in a single contraction, which is what lets
@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.base import BackendCapabilities, SimulationBackend
+from repro.backends.base import SimulationBackend
 from repro.quantum.gates import GATES
 from repro.quantum.parametric import PARAMETRIC_GATES
 from repro.telemetry import get_telemetry
@@ -81,21 +81,14 @@ class EinsumBatchBackend(SimulationBackend):
     """Batched statevector simulation via cached einsum contractions."""
 
     name = "einsum"
-    capabilities = BackendCapabilities(batched_states=True,
-                                       batched_params=True,
-                                       gate_fusion=True,
-                                       adjoint=True,
-                                       batched_adjoint=True)
 
     #: State tensors with at least this many elements route through a
     #: precomputed BLAS-dispatching contraction path; smaller ones stay on
     #: the plain C einsum kernel, whose per-call overhead is lower.
     path_threshold: int = 1 << 13
 
-    def __init__(self, fuse_single_qubit_gates: bool = True,
-                 xm=None, policy=None) -> None:
+    def __init__(self, xm=None, policy=None) -> None:
         super().__init__(xm=xm, policy=policy)
-        self.fuse_single_qubit_gates = bool(fuse_single_qubit_gates)
         self._fixed_tensors: Dict[Tuple[str, str], np.ndarray] = {}
         self._paths: Dict[Tuple[str, Tuple[int, ...], Tuple[int, ...]], list] = {}
         self._telemetry = get_telemetry()
@@ -160,11 +153,6 @@ class EinsumBatchBackend(SimulationBackend):
         when a multi-qubit gate touches the wire (or at the end of the
         circuit).  Deferral is safe because gates on disjoint wires commute.
         """
-        if not self.fuse_single_qubit_gates:
-            for op in circuit.ops:
-                matrix, batched = self._op_matrix(op, params, params_batched)
-                yield matrix, op.qubits, batched
-            return
         pending: Dict[int, Tuple[np.ndarray, bool]] = {}
         order: List[int] = []
         for op in circuit.ops:
@@ -290,24 +278,12 @@ class EinsumBatchBackend(SimulationBackend):
             params: Optional[np.ndarray] = None,
             return_intermediate: bool = False):
         state = self.validate_state(circuit, state)
+        result = self.run_batched(circuit, state[None, :], params,
+                                  return_intermediate)
         if not return_intermediate:
-            return self.run_batched(circuit, state[None, :], params)[0]
-        # Adjoint path: the gradient sweep needs the state before every op,
-        # so fusion is disabled and each op is applied individually.
-        params, params_batched = self._normalise_params(circuit, 1, params)
-        if params_batched:  # a single-row matrix is just a shared vector here
-            params = params.reshape(-1)
-        n = circuit.n_qubits
-        intermediates: List[np.ndarray] = []
-        current = self.xm.asarray(state, dtype=self.policy.complex)
-        for op in circuit.ops:
-            intermediates.append(self.xm.to_numpy(current))
-            matrix, _ = self._op_matrix(op, params, False)
-            tensor = self.xm.reshape(current, (1,) + (2,) * n)
-            current = self.xm.reshape(
-                self._apply_batched(tensor, matrix, op.qubits, n, False),
-                (-1,))
-        return self.xm.to_numpy(current), intermediates
+            return result[0]
+        output, intermediates = result
+        return output[0], [stack[0] for stack in intermediates]
 
     def _normalise_params(self, circuit: "ParameterizedCircuit", batch: int,
                           params: Optional[np.ndarray]
@@ -327,25 +303,3 @@ class EinsumBatchBackend(SimulationBackend):
                     f"batch {batch}")
             return params, True
         raise ValueError("params must be a vector or a (batch, n_params) matrix")
-
-    # ------------------------------------------------------------------ #
-    # measurement heads (vectorised)
-    # ------------------------------------------------------------------ #
-    def expectation_batched(self, circuit: "ParameterizedCircuit",
-                            states: np.ndarray,
-                            params: Optional[np.ndarray] = None,
-                            qubits: Optional[Tuple[int, ...]] = None
-                            ) -> np.ndarray:
-        n = circuit.n_qubits
-        if qubits is None:
-            qubits = tuple(range(n))
-        outputs = self.run_batched(circuit, states, params)
-        probs = np.abs(outputs) ** 2
-        indices = np.arange(2**n)
-        values = np.empty((outputs.shape[0], len(qubits)))
-        for column, qubit in enumerate(qubits):
-            if not 0 <= qubit < n:
-                raise ValueError(f"qubit {qubit} outside register")
-            signs = 1.0 - 2.0 * ((indices >> (n - 1 - qubit)) & 1)
-            values[:, column] = probs @ signs
-        return values

@@ -1,6 +1,6 @@
 """String-keyed registry of simulation backends.
 
-Engines register a factory under a short name (``"numpy"``, ``"einsum"``,
+Engines register a factory under a short name (``"einsum"``, ``"torch"``,
 ...) and callers resolve them with :func:`get_backend`.  Resolution order for
 the default backend mirrors entry-point-style tooling:
 
@@ -8,11 +8,13 @@ the default backend mirrors entry-point-style tooling:
    :attr:`repro.core.config.QuGeoVQCConfig.backend`;
 2. the ``QUGEO_BACKEND`` environment variable;
 3. the process-wide default set with :func:`set_default_backend`
-   (``"numpy"`` out of the box, the bit-exact legacy engine).
+   (``"einsum"`` out of the box).
 
 Factories are instantiated lazily and the instances cached, so repeated
 ``get_backend("einsum")`` calls share one engine (and therefore its memoised
-gate tensors and einsum subscripts).
+gate tensors and einsum subscripts).  Each build counts a
+``backend.selected.<name>`` telemetry event, so a run snapshot records which
+engine it simulated on.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Union
 
 from repro.backends.base import SimulationBackend
+from repro.telemetry import get_telemetry
 from repro.utils import env
 
 #: Environment variable consulted when no explicit backend is requested.
@@ -27,7 +30,7 @@ BACKEND_ENV_VAR = env.BACKEND
 
 _FACTORIES: Dict[str, Callable[[], SimulationBackend]] = {}
 _INSTANCES: Dict[str, SimulationBackend] = {}
-_DEFAULT_NAME = "numpy"
+_DEFAULT_NAME = "einsum"
 
 BackendSpec = Union[None, str, SimulationBackend]
 
@@ -127,5 +130,6 @@ def get_backend(spec: BackendSpec = None) -> SimulationBackend:
             raise TypeError(
                 f"factory for backend {spec!r} returned "
                 f"{type(instance).__name__}, not a SimulationBackend")
+        get_telemetry().counter(f"backend.selected.{spec}").inc()
         _INSTANCES[spec] = instance
     return _INSTANCES[spec]

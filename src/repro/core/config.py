@@ -90,8 +90,8 @@ class QuGeoVQCConfig:
         16 to match near-term devices).
     backend:
         Name of the simulation backend the model executes on (a key of
-        :func:`repro.backends.available_backends`, e.g. ``"numpy"`` or
-        ``"einsum"``).  ``None`` defers to the ``QUGEO_BACKEND`` environment
+        :func:`repro.backends.available_backends`, e.g. ``"einsum"`` or
+        ``"torch"``).  ``None`` defers to the ``QUGEO_BACKEND`` environment
         variable and then the registry default.
     """
 

@@ -176,15 +176,13 @@ class QuGeoVQC:
     def predict_batch(self, seismic_batch: Sequence[np.ndarray]) -> np.ndarray:
         """Predict velocity maps for a sequence of samples.
 
-        On a backend with ``batched_states`` the whole mini-batch of circuit
-        executions runs as one stacked contraction.
+        The whole mini-batch of circuit executions runs as one stacked
+        ``run_batched`` call.
         """
-        if len(seismic_batch) > 1 and self.backend.capabilities.batched_states:
-            states = np.stack([self.encode(sample) for sample in seismic_batch])
-            outputs = self.circuit.run_batched(states, self.theta.data,
-                                               backend=self.backend)
-            return np.stack([self.decode(output) for output in outputs])
-        return np.stack([self.predict(sample) for sample in seismic_batch])
+        states = np.stack([self.encode(sample) for sample in seismic_batch])
+        outputs = self.circuit.run_batched(states, self.theta.data,
+                                           backend=self.backend)
+        return np.stack([self.decode(output) for output in outputs])
 
     # ------------------------------------------------------------------ #
     # loss and gradients
@@ -253,9 +251,7 @@ class QuGeoVQC:
 
         Runs one stacked forward pass and one stacked adjoint sweep
         (:func:`repro.quantum.autodiff.circuit_gradients_batched`) instead of
-        a Python loop over samples; on a backend without native
-        ``batched_adjoint`` support the engine falls back to per-sample
-        loops and stays correct.
+        a Python loop over samples.
 
         Returns the ``(B,)`` loss vector and a dict with a ``(B, n_params)``
         ``"theta"`` gradient matrix and (for the trainable pixel decoder) a

@@ -9,6 +9,7 @@ methods are provided:
   ``L(psi_out)`` the parameter gradient is ``2 Re(lambda^dagger dU/dtheta
   psi_before_gate)`` where ``lambda = dL/d(psi_out*)`` is pulled backwards
   through the inverse gates.  Its cost is independent of the parameter count.
+  It is the one-state reference the batched sweep is tested against.
 * :func:`circuit_gradients_batched` — the same adjoint method over a whole
   ``(batch, 2**n)`` stack of input states sharing one parameter vector: one
   stacked forward pass with per-gate intermediates, one vectorised loss head
@@ -80,11 +81,6 @@ def circuit_gradients(circuit: ParameterizedCircuit, params: np.ndarray,
     from repro.backends import get_backend
 
     engine = get_backend(backend)
-    if not engine.capabilities.adjoint:
-        raise ValueError(
-            f"backend {engine.name!r} does not support adjoint "
-            f"differentiation (capabilities.adjoint is False); use "
-            f"parameter_shift_gradients or a different backend")
     params = np.asarray(params, dtype=np.float64).reshape(-1)
     output, intermediates = circuit.run(input_state, params,
                                         return_intermediate=True,
@@ -163,11 +159,8 @@ def circuit_gradients_batched(circuit: ParameterizedCircuit, params: np.ndarray,
         ``lams`` is the ``(batch, 2**n)`` co-state stack ``dL_b/d(psi_b*)``.
         It is invoked exactly once per call, always on the full batch.
     backend:
-        Simulation engine (name, instance or ``None`` for the default).
-        Backends advertising ``batched_adjoint`` execute the sweep as stacked
-        contractions; any other backend with ``adjoint`` support is driven
-        one sample at a time through the plain ``run`` / ``apply_gate``
-        contract and stays correct (at per-sample cost).
+        Simulation engine (name, instance or ``None`` for the default); the
+        sweep runs through its ``run_batched`` / ``apply_gate_batched``.
     max_elements:
         Amplitude budget for the per-gate intermediates held by one backward
         chunk.  Batches whose intermediates exceed it are re-run forward in
@@ -183,15 +176,9 @@ def circuit_gradients_batched(circuit: ParameterizedCircuit, params: np.ndarray,
     from repro.backends import get_backend
 
     engine = get_backend(backend)
-    if not engine.capabilities.adjoint:
-        raise ValueError(
-            f"backend {engine.name!r} does not support adjoint "
-            f"differentiation (capabilities.adjoint is False); use "
-            f"parameter_shift_gradients or a different backend")
     params = np.asarray(params, dtype=np.float64).reshape(-1)
     # Complex stacks keep their precision (a complex64 batch sweeps the
-    # adjoint at complex64 on batched_adjoint engines); real inputs are
-    # promoted to complex128 exactly as before.
+    # adjoint at complex64); real inputs are promoted to complex128.
     states = ensure_complex(input_states)
     if states.ndim != 2:
         raise ValueError("input_states must have shape (batch, 2**n_qubits)")
@@ -214,15 +201,6 @@ def circuit_gradients_batched(circuit: ParameterizedCircuit, params: np.ndarray,
         telemetry.gauge("gradients.batched.amplitude_budget").set(max_elements)
         telemetry.gauge("gradients.batched.chunk_rows").set(
             min(chunk_rows, batch))
-    if not engine.capabilities.batched_adjoint:
-        # Per-sample fallback: drive the backend only through the PR-1
-        # ``run(..., return_intermediate=True)`` / ``apply_gate`` contract
-        # (so engines that predate the batched-adjoint API keep working) and
-        # skip the batch-of-one stacking overhead entirely.  The loss head
-        # still sees the full output stack exactly once.
-        with telemetry.span("gradients.per_sample"):
-            return _per_sample_fallback(engine, circuit, params, states,
-                                        loss_head, chunk_rows, grads)
     if chunk_rows >= batch:
         with telemetry.span("gradients.forward"):
             outputs, intermediates = engine.run_batched(
@@ -247,45 +225,6 @@ def circuit_gradients_batched(circuit: ParameterizedCircuit, params: np.ndarray,
         with telemetry.span("gradients.backward"):
             _batched_backward_sweep(engine, circuit, params, intermediates,
                                     lams[start:stop], grads[start:stop])
-    return losses, grads
-
-
-def _per_sample_fallback(engine, circuit: ParameterizedCircuit,
-                         params: np.ndarray, states: np.ndarray,
-                         loss_head: BatchedLossHead, chunk_rows: int,
-                         grads: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched-gradient semantics on a backend without ``batched_adjoint``.
-
-    One scalar forward (keeping intermediates when the amplitude budget
-    allows, re-running them per sample otherwise), one loss-head call on the
-    stacked outputs, then one scalar backward sweep per sample — the same
-    cost as the legacy per-sample :func:`circuit_gradients` loop.
-    """
-    batch, dim = states.shape
-    if chunk_rows >= batch:
-        outputs = []
-        per_sample = []
-        for state in states:
-            output, intermediates = engine.run(circuit, state, params,
-                                               return_intermediate=True)
-            outputs.append(output)
-            per_sample.append(intermediates)
-        losses, lams = _check_batched_head(loss_head(np.stack(outputs)),
-                                           batch, dim)
-        for b in range(batch):
-            _backward_sweep(engine, circuit, params, per_sample[b], lams[b],
-                            grads[b])
-        return losses, grads
-    # Over budget: forward once for the loss head, re-forward per sample
-    # with intermediates right before its backward sweep.
-    outputs = np.stack([engine.run(circuit, state, params)
-                        for state in states])
-    losses, lams = _check_batched_head(loss_head(outputs), batch, dim)
-    for b in range(batch):
-        _, intermediates = engine.run(circuit, states[b], params,
-                                      return_intermediate=True)
-        _backward_sweep(engine, circuit, params, intermediates, lams[b],
-                        grads[b])
     return losses, grads
 
 
@@ -390,49 +329,37 @@ def parameter_shift_gradients(circuit: ParameterizedCircuit, params: np.ndarray,
     reproduction uses :func:`circuit_gradients` for training and keeps this
     function for the ablation benchmark comparing gradient strategies.
 
-    On a backend advertising ``batched_params`` (e.g. ``"einsum"``) the whole
-    sweep — both shifted circuits for every parameter — executes as one
-    stacked contraction over a ``(2 * n_params, n_params)`` parameter matrix
-    instead of ``2 * n_params`` sequential simulations.
+    The whole sweep — both shifted circuits for every parameter — executes
+    as stacked ``run_batched`` calls over a ``(2 * n_params, n_params)``
+    parameter matrix instead of ``2 * n_params`` sequential simulations.
     """
     from repro.backends import get_backend
 
     engine = get_backend(backend)
     params = np.asarray(params, dtype=np.float64).reshape(-1)
     loss, _ = _evaluate(circuit, params, input_state, loss_head, engine)
-    grads = np.zeros_like(params)
     if params.size == 0:
-        return loss, grads
-    if engine.capabilities.batched_params and engine.capabilities.batched_states:
-        offsets = np.zeros((2 * params.size, params.size))
-        rows = np.arange(params.size)
-        offsets[2 * rows, rows] = shift
-        offsets[2 * rows + 1, rows] = -shift
-        shifted = params[None, :] + offsets
-        state = np.asarray(input_state, dtype=np.complex128).reshape(-1)
-        # Chunk the sweep so one stacked run holds a bounded number of
-        # amplitudes: peak memory stays O(chunk) instead of
-        # O(n_params * 2**n) however many parameters the circuit has.
-        max_rows = max(1, _SHIFT_SWEEP_MAX_ELEMENTS // state.size)
-        losses = np.empty(shifted.shape[0])
-        for start in range(0, shifted.shape[0], max_rows):
-            block = shifted[start:start + max_rows]
-            states = np.broadcast_to(state, (block.shape[0], state.size))
-            outputs = engine.run_batched(circuit, states, block)
-            # Write each loss straight into its slot instead of building a
-            # throwaway Python list per chunk.
-            for row in range(outputs.shape[0]):
-                losses[start + row] = loss_head(outputs[row])[0]
-        grads = 0.5 * (losses[0::2] - losses[1::2])
-        return loss, grads
-    for i in range(params.size):
-        shifted = params.copy()
-        shifted[i] += shift
-        loss_plus, _ = _evaluate(circuit, shifted, input_state, loss_head, engine)
-        shifted[i] -= 2 * shift
-        loss_minus, _ = _evaluate(circuit, shifted, input_state, loss_head, engine)
-        grads[i] = 0.5 * (loss_plus - loss_minus)
-    return loss, grads
+        return loss, np.zeros_like(params)
+    offsets = np.zeros((2 * params.size, params.size))
+    rows = np.arange(params.size)
+    offsets[2 * rows, rows] = shift
+    offsets[2 * rows + 1, rows] = -shift
+    shifted = params[None, :] + offsets
+    state = np.asarray(input_state, dtype=np.complex128).reshape(-1)
+    # Chunk the sweep so one stacked run holds a bounded number of
+    # amplitudes: peak memory stays O(chunk) instead of
+    # O(n_params * 2**n) however many parameters the circuit has.
+    max_rows = max(1, _SHIFT_SWEEP_MAX_ELEMENTS // state.size)
+    losses = np.empty(shifted.shape[0])
+    for start in range(0, shifted.shape[0], max_rows):
+        block = shifted[start:start + max_rows]
+        states = np.broadcast_to(state, (block.shape[0], state.size))
+        outputs = engine.run_batched(circuit, states, block)
+        # Write each loss straight into its slot instead of building a
+        # throwaway Python list per chunk.
+        for row in range(outputs.shape[0]):
+            losses[start + row] = loss_head(outputs[row])[0]
+    return loss, 0.5 * (losses[0::2] - losses[1::2])
 
 
 def _evaluate(circuit: ParameterizedCircuit, params: np.ndarray,

@@ -165,10 +165,9 @@ class ParameterizedCircuit:
                     backend=None) -> np.ndarray:
         """Apply the circuit to a ``(batch, 2**n_qubits)`` stack of states.
 
-        ``params`` is a shared vector or, on backends advertising
-        ``batched_params``, a ``(batch, n_params)`` matrix.  Backends with
-        ``batched_states`` (e.g. ``"einsum"``) execute the whole stack as
-        vectorised contractions; others fall back to a loop.
+        ``params`` is a shared vector or a ``(batch, n_params)`` matrix
+        giving each state its own parameters; the ``"einsum"`` engine
+        executes the whole stack as vectorised contractions.
         """
         from repro.backends import get_backend
 

@@ -85,7 +85,7 @@ class EnvVar:
 
 #: Every known variable with its documented default, in display order.
 KNOWN_VARS: Tuple[EnvVar, ...] = (
-    EnvVar(BACKEND, "numpy", "default simulation backend name"),
+    EnvVar(BACKEND, "einsum", "default simulation backend name"),
     EnvVar(PROPAGATOR, "batched", "default acoustic propagator name"),
     EnvVar(SEISMIC_KERNEL, "python",
            "default propagator time-loop kernel",
@@ -94,7 +94,7 @@ KNOWN_VARS: Tuple[EnvVar, ...] = (
            "default absorbing boundary condition", ("sponge", "pml")),
     EnvVar(ARRAY_MODULE, "numpy",
            "default array module for numeric engines",
-           ("numpy", "torch", "cupy")),
+           ("numpy", "torch")),
     EnvVar(DTYPE, "float64", "default dtype policy",
            ("float64", "float32")),
     EnvVar(TELEMETRY, "off", "telemetry mode", ("off", "summary", "trace")),

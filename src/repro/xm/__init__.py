@@ -5,7 +5,7 @@ run on and the precision they run at:
 
 * :class:`ArrayOps` / :func:`get_array_module` — a narrow operation set
   (allocation, reshape, einsum, matmul, host transfer) implemented for
-  NumPy today and for PyTorch / CuPy when installed, selected via the
+  NumPy today and for PyTorch when installed, selected via the
   ``QUGEO_ARRAY_MODULE`` environment variable or per-engine constructor
   arguments.
 * :class:`DTypePolicy` / :func:`get_dtype_policy` — named dtype bundles

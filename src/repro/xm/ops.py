@@ -5,7 +5,7 @@ engines (the einsum simulation backend, the batched acoustic propagator)
 and the array library executing them.  It exposes exactly the operations
 those hot loops need — allocation, reshape, ``einsum``, ``matmul``, casting
 and host transfer — with NumPy semantics, so an engine written against it
-runs unchanged on NumPy, CuPy or PyTorch (CPU or GPU) arrays.
+runs unchanged on NumPy or PyTorch (CPU or GPU) arrays.
 
 Resolution mirrors the simulation-backend registry:
 
@@ -239,12 +239,5 @@ def _torch_factory() -> ArrayOps:
     return TorchOps()
 
 
-def _cupy_factory() -> ArrayOps:
-    from repro.xm.cupy_ops import CupyOps
-
-    return CupyOps()
-
-
 register_array_module("numpy", NumpyOps)
 register_array_module("torch", _torch_factory)
-register_array_module("cupy", _cupy_factory)

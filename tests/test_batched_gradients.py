@@ -3,14 +3,14 @@
 The contract: :func:`repro.quantum.autodiff.circuit_gradients_batched` (and
 the model/trainer layers built on it) must produce the same losses and
 gradients as the per-sample adjoint sweep and the finite-difference ground
-truth, on every backend, for both decoders, grouped and ungrouped ansätze,
-and regardless of how the batch is chunked.
+truth, on every backend (and on the per-gate loop oracle), for both
+decoders, grouped and ungrouped ansätze, and regardless of how the batch is
+chunked.
 """
 
 import numpy as np
 import pytest
 
-from repro.backends import get_backend
 from repro.core.config import QuGeoVQCConfig, TrainingConfig
 from repro.core.training import QuantumTrainer, evaluate_predictions
 from repro.core.vqc_model import QuGeoVQC
@@ -34,8 +34,20 @@ from repro.quantum.measurement import (
     z_expectations_backward_batched,
     z_expectations_batched,
 )
+from repro.xm import array_module_available
 
-BACKENDS = ("numpy", "einsum")
+from loop_oracle import LoopOracle
+
+# The oracle row keeps the id "numpy": it is the per-gate NumPy loop.  The
+# torch row runs the production batched adjoint sweep on torch tensors and
+# skips where torch is not installed.
+BACKENDS = (
+    pytest.param(LoopOracle(), id="numpy"),
+    "einsum",
+    pytest.param("torch", marks=pytest.mark.skipif(
+        not array_module_available("torch"),
+        reason="array module 'torch' is not available here")),
+)
 
 
 def _random_states(n_qubits, batch, rng):
@@ -265,12 +277,12 @@ def _model_config(decoder, n_groups=1):
 
 
 class TestBaseClassBatchedFallbacks:
-    """The loop fallbacks behind the batched adjoint contract stay correct
-    on a backend that does not override them (``numpy``)."""
+    """The loop oracle's batched adjoint contract (per-state loops over its
+    single-state methods) agrees with those single-state methods."""
 
     def test_run_batched_return_intermediate(self):
         rng = np.random.default_rng(50)
-        backend = get_backend("numpy")
+        backend = LoopOracle()
         circuit = u3_cu3_ansatz(3, n_blocks=1)
         params = rng.normal(size=circuit.n_params)
         states = _random_states(3, 4, rng)
@@ -287,7 +299,7 @@ class TestBaseClassBatchedFallbacks:
 
     def test_apply_gate_batched_matches_per_state(self):
         rng = np.random.default_rng(51)
-        backend = get_backend("numpy")
+        backend = LoopOracle()
         states = _random_states(3, 4, rng)
         matrix = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         batched = backend.apply_gate_batched(states, matrix, (2, 0), 3)
@@ -398,7 +410,7 @@ def _tiny_dataset(rng, n_samples, capacity):
 class TestTrainerBatchedPath:
     @pytest.mark.parametrize("decoder", ["pixel", "layer"])
     def test_trajectories_match_across_gradient_paths(self, decoder):
-        """Per-sample (numpy backend) and batched (einsum backend) training
+        """Training on the per-gate loop oracle and on the einsum engine
         must follow the same parameter trajectory for a fixed seed."""
         rng = np.random.default_rng(30)
         config = _model_config(decoder)
@@ -408,13 +420,13 @@ class TestTrainerBatchedPath:
 
         final = {}
         losses = {}
-        for backend in BACKENDS:
+        for key, backend in (("loop", LoopOracle()), ("einsum", "einsum")):
             model = QuGeoVQC(_model_config(decoder), rng=5, backend=backend)
             result = QuantumTrainer(training).train(model, dataset)
-            final[backend] = model.theta.data.copy()
-            losses[backend] = result.history("train_loss")
-        np.testing.assert_allclose(final["einsum"], final["numpy"], atol=1e-9)
-        np.testing.assert_allclose(losses["einsum"], losses["numpy"],
+            final[key] = model.theta.data.copy()
+            losses[key] = result.history("train_loss")
+        np.testing.assert_allclose(final["einsum"], final["loop"], atol=1e-9)
+        np.testing.assert_allclose(losses["einsum"], losses["loop"],
                                    atol=1e-10)
 
     def test_batched_path_is_taken_on_einsum(self, monkeypatch):
