@@ -1,8 +1,7 @@
-"""Benchmark — simulation backends across qubit counts and batch sizes.
+"""Benchmark — the einsum simulation engine across qubit counts and batch sizes.
 
-Times a batched forward pass of the paper's U3+CU3 ansatz on every registered
-simulation backend whose array module is installed: the einsum engine on
-NumPy, and the same engine on torch where torch is importable.
+Times a batched forward pass of the paper's U3+CU3 ansatz on the
+``get_backend("einsum")`` engine.
 
 Run directly (CI uses ``--quick``)::
 
@@ -23,7 +22,7 @@ import numpy as np
 from common import (add_cache_dir_argument, add_json_argument,
                     apply_cache_dir, write_json)
 
-from repro.backends import available_backends, get_backend
+from repro.backends import get_backend
 from repro.quantum.ansatz import u3_cu3_ansatz
 from repro.utils.tables import format_table
 
@@ -47,24 +46,21 @@ def time_backend(backend, circuit, states, params, repeats: int) -> float:
 
 
 def run_benchmark(qubit_counts: Sequence[int], batch_sizes: Sequence[int],
-                  n_blocks: int, repeats: int,
-                  backend_names: Sequence[str]) -> List[List[object]]:
-    """Return one table row per backend, qubit count and batch size."""
+                  n_blocks: int, repeats: int) -> List[List[object]]:
+    """Return one table row per qubit count and batch size."""
     rng = np.random.default_rng(0)
+    backend = get_backend("einsum")
     rows: List[List[object]] = []
     for n_qubits in qubit_counts:
         circuit = u3_cu3_ansatz(n_qubits, n_blocks=n_blocks)
         params = rng.normal(size=circuit.n_params)
         for batch in batch_sizes:
             states = _random_states(n_qubits, batch, rng)
-            for name in backend_names:
-                backend = get_backend(name)
-                # Warm up caches (einsum subscripts, fixed-gate tensors).
-                backend.run_batched(circuit, states, params)
-                elapsed = time_backend(backend, circuit, states, params,
-                                       repeats)
-                rows.append([name, n_qubits, batch, len(circuit),
-                             elapsed * 1e3, elapsed * 1e3 / batch])
+            # Warm up caches (einsum subscripts, fixed-gate tensors).
+            backend.run_batched(circuit, states, params)
+            elapsed = time_backend(backend, circuit, states, params, repeats)
+            rows.append([backend.name, n_qubits, batch, len(circuit),
+                         elapsed * 1e3, elapsed * 1e3 / batch])
     return rows
 
 
@@ -72,7 +68,7 @@ def render(rows: List[List[object]]) -> str:
     return format_table(
         ["backend", "qubits", "batch", "gates", "total ms", "ms/sample"],
         rows,
-        title="Backend comparison: batched forward pass of the U3+CU3 ansatz")
+        title="einsum engine: batched forward pass of the U3+CU3 ansatz")
 
 
 def main() -> int:
@@ -92,15 +88,7 @@ def main() -> int:
         qubit_counts, batch_sizes = (4, 6, 8), (1, 8)
     else:
         qubit_counts, batch_sizes = (4, 6, 8, 10), (1, 8, 32)
-    backend_names = []
-    for name in available_backends():
-        try:
-            get_backend(name)
-        except ImportError:  # an optional array module, not installed here
-            continue
-        backend_names.append(name)
-    rows = run_benchmark(qubit_counts, batch_sizes, args.blocks,
-                                   args.repeats, backend_names)
+    rows = run_benchmark(qubit_counts, batch_sizes, args.blocks, args.repeats)
     text = render(rows)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / "bench_backends.txt"

@@ -149,8 +149,7 @@ DTYPES = ("float64", "float32")
 
 
 def _grid_kernels() -> List[str]:
-    return [name for name in available_kernels()
-            if kernel_available(name) and name != "cffi"]
+    return [name for name in available_kernels() if kernel_available(name)]
 
 
 def run_kernel_grid(n_steps: int, repeats: int

@@ -7,9 +7,8 @@ The package is organised as:
   layer-wise decoders), QuBatch, parameter-matched classical baselines and
   the training / experiment harnesses.
 * :mod:`repro.quantum` — NumPy statevector simulator with analytic gradients.
-* :mod:`repro.backends` — pluggable simulation engines behind a registry
-  (vectorised batched einsum, on NumPy or torch arrays; the seam for GPU /
-  sparse / remote backends).
+* :mod:`repro.backends` — the vectorised batched-einsum simulation engine
+  behind the :class:`~repro.backends.SimulationBackend` interface.
 * :mod:`repro.nn` — small autograd / neural-network substrate for the
   classical components.
 * :mod:`repro.seismic` — acoustic forward modelling and velocity-model

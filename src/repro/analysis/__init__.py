@@ -2,7 +2,7 @@
 
 An AST-based, zero-dependency linter enforcing the project invariants that
 generic linters cannot see — the env-variable waist, seeded-RNG
-determinism, the ``xm.ArrayOps`` narrow waist, monotonic telemetry clocks,
+determinism, monotonic telemetry clocks,
 fault-path exception hygiene, registry/parity-test lockstep, and
 fingerprint format-version discipline.  Run it with::
 
@@ -11,7 +11,7 @@ fingerprint format-version discipline.  Run it with::
 
 Rules live in :mod:`repro.analysis.rules` and are registered by string
 code (``QG001``...) in :mod:`repro.analysis.registry`, mirroring the
-backend/propagator/kernel registries.
+propagator/kernel registries.
 """
 
 from repro.analysis.base import (

@@ -6,14 +6,12 @@ Suppression contract
 
 A finding is suppressed by a ``qugeo-lint`` comment on the *same line*::
 
-    risky_call()  # qugeo-lint: disable=QG003 -- host-numpy path by design
+    risky_call()  # qugeo-lint: disable=QG005 -- best-effort cleanup
 
 Several codes may be listed (``disable=QG001,QG005``) and ``disable=all``
 silences every rule on that line.  Anything after the code list is free-form
 rationale — suppressions without a *why* do not survive review, so the
-syntax encourages one.  :class:`~repro.analysis.rules.qg006_registry`
-additionally understands a ``# qugeo-lint: placeholder`` marker on registry
-registration lines (a declared-but-not-yet-shipped engine).
+syntax encourages one.
 """
 
 from __future__ import annotations
@@ -30,9 +28,6 @@ from repro.analysis.findings import Finding
 
 #: Matches the machine-readable head of a suppression comment.
 _DISABLE_RE = re.compile(r"qugeo-lint:\s*disable=([A-Za-z0-9_,\- ]+)")
-
-#: Marks a registry registration as a declared placeholder (QG006).
-_PLACEHOLDER_RE = re.compile(r"qugeo-lint:\s*placeholder\b")
 
 #: A valid rule code inside a ``disable=`` list.
 _CODE_RE = re.compile(r"^[A-Z]{2}\d{3}$")
@@ -99,11 +94,6 @@ class SourceFile:
         if not codes:
             return False
         return "ALL" in codes or finding.rule in codes
-
-    def has_placeholder_marker(self, line: int) -> bool:
-        """Whether ``line`` carries a ``qugeo-lint: placeholder`` marker."""
-        comment = self.comments.get(line)
-        return bool(comment and _PLACEHOLDER_RE.search(comment))
 
     def finding(self, node: ast.AST, rule: str, message: str) -> Finding:
         """Build a finding anchored at ``node``."""

@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qugeo-lint",
         description=("AST-based project-invariant linter for the QuGeo "
-                     "reproduction (rules QG001-QG007)."))
+                     "reproduction (rules QG001, QG002, QG004-QG007)."))
     parser.add_argument(
         "paths", nargs="*", metavar="PATH",
         help=(f"files or directories to lint (default: "

@@ -1,6 +1,6 @@
 """String-keyed registry of lint rules.
 
-Mirrors :mod:`repro.backends.registry`: rules register an instance under
+Mirrors :mod:`repro.seismic.kernels`: rules register an instance under
 their code (``QG001``) and callers resolve them by code *or* short name
 (``env-access``), case-insensitively.  ``--select`` / ``--ignore`` on the
 CLI go through :func:`resolve_rules`.

@@ -1,8 +1,8 @@
-"""Built-in invariant rules (QG001–QG007).
+"""Built-in invariant rules (QG001, QG002, QG004–QG007).
 
 Importing this package registers every built-in rule with
 :mod:`repro.analysis.registry` — the same eager-registration idiom the
-backend/propagator/kernel registries use.  Each rule module's docstring
+propagator/kernel registries use.  Each rule module's docstring
 names the project contract it guards; the README's rule table links back
 to them.
 """
@@ -10,7 +10,6 @@ to them.
 from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     qg001_env,
     qg002_rng,
-    qg003_xm,
     qg004_clock,
     qg005_except,
     qg006_registry,
@@ -20,7 +19,6 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
 __all__ = [
     "qg001_env",
     "qg002_rng",
-    "qg003_xm",
     "qg004_clock",
     "qg005_except",
     "qg006_registry",

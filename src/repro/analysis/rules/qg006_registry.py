@@ -1,18 +1,17 @@
 """QG006 — every registered engine name has a parity-test row.
 
-Contract guarded: the three engine registries (simulation backends,
-acoustic propagators, propagator kernels) each pair with a parity harness
-in ``tests/`` — ``tests/test_backends.py`` runs every backend against the
-bit-exact reference, ``tests/test_seismic_batched.py`` parametrizes the
-kernel x dtype matrix, etc.  A new engine registered without a parity row
-can silently diverge from the reference; this rule makes that a lint
-failure instead of a review hope.
+Contract guarded: the engine registries (acoustic propagators, propagator
+kernels, and ``register_backend`` should a backend registry return) each
+pair with a parity harness in ``tests/`` — ``tests/test_seismic_batched.py``
+parametrizes the kernel x dtype matrix, etc.  A new engine registered
+without a parity row can silently diverge from the reference; this rule
+makes that a lint failure instead of a review hope.
 
 How coverage is established (walking the test AST, no imports executed):
 
 * a string literal naming the engine inside a ``pytest.mark.parametrize``
   value list — directly, or via a module-level constant such as
-  ``ARRAY_MODULE_ENGINES``;
+  ``BACKENDS``;
 * a ``parametrize`` value list built from the registry's own enumerator
   (``available_kernels()`` et al.) — dynamic rows cover *every* name of
   that registry, including future ones;
@@ -20,8 +19,7 @@ How coverage is established (walking the test AST, no imports executed):
   (``get_backend("einsum")``, ``kernel_available("numba")``, ...) or to a
   ``backend=`` / ``propagator=`` / ``kernel=`` keyword.
 
-Declared-but-unshipped registrations (the ``cffi`` kernel) are exempted by
-a ``# qugeo-lint: placeholder`` comment on the registration line.
+There is no exemption: an engine that is not shipped is not registered.
 """
 
 from __future__ import annotations
@@ -50,8 +48,7 @@ AVAILABLE_CALLS = {
 
 #: Test-side calls whose literal string argument exercises a name.
 EXERCISE_CALLS = {
-    "backend": {"get_backend", "set_default_backend", "unregister_backend",
-                "array_module_available", "get_array_module"},
+    "backend": {"get_backend"},
     "propagator": {"get_propagator", "set_default_propagator",
                    "unregister_propagator"},
     "kernel": {"get_kernel", "kernel_available", "resolve_kernel",
@@ -76,7 +73,7 @@ def _last_part(name: Optional[str]) -> Optional[str]:
 
 
 def collect_registrations(sf: SourceFile) -> Iterator[Registration]:
-    """Engine registrations in one source file (placeholders excluded)."""
+    """Engine registrations in one source file."""
     if sf.tree is None:
         return
     for node in ast.walk(sf.tree):
@@ -87,8 +84,6 @@ def collect_registrations(sf: SourceFile) -> Iterator[Registration]:
             continue
         first = node.args[0]
         if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
-            continue
-        if sf.has_placeholder_marker(node.lineno):
             continue
         yield Registration(kind, first.value, sf.rel_path, node.lineno,
                            node.col_offset)
@@ -166,8 +161,7 @@ class RegistryParityRule(Rule):
     code = "QG006"
     name = "registry-parity"
     description = ("registered backend/kernel/propagator names without a "
-                   "parity-test row in tests/ (placeholder registrations "
-                   "exempt via '# qugeo-lint: placeholder')")
+                   "parity-test row in tests/")
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         registrations: List[Registration] = []
@@ -192,9 +186,7 @@ class RegistryParityRule(Rule):
                 rule=self.code,
                 message=(f"registered {reg.kind} {reg.engine!r} has no "
                          f"parity-test row in tests/ (add a parametrize row "
-                         f"or skip-when-unavailable test, or mark the "
-                         f"registration '# qugeo-lint: placeholder' if the "
-                         f"engine is declared but not shipped)"))
+                         f"or skip-when-unavailable test)"))
 
 
 register_rule(RegistryParityRule())

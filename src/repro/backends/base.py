@@ -4,9 +4,9 @@ A :class:`SimulationBackend` owns the execution of a
 :class:`~repro.quantum.circuit.ParameterizedCircuit` on statevectors.  The
 rest of the codebase (circuit ``run``, the adjoint differentiation, the
 QuGeoVQC / QuBatchVQC models and every benchmark) talks to simulation only
-through this interface, so alternative engines — vectorised NumPy, GPU,
-sparse, remote hardware — can be swapped in via the registry in
-:mod:`repro.backends.registry` without touching callers.
+through this interface.  The one production engine is
+:class:`~repro.backends.einsum_batch.EinsumBatchBackend`; the per-gate loop
+in ``tests/loop_oracle.py`` implements the same interface as a test oracle.
 
 Conventions shared by all backends (see :mod:`repro.quantum.gates`):
 
@@ -31,33 +31,30 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.xm import get_array_module, get_dtype_policy
+from repro.xm import get_dtype_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.quantum.circuit import ParameterizedCircuit
-    from repro.xm import ArrayOps, DTypePolicy
+    from repro.xm import DTypePolicy
 
 
 class SimulationBackend(ABC):
     """Abstract statevector simulation engine.
 
     Concrete engines implement :meth:`run`, :meth:`run_batched` and
-    :meth:`apply_gate_batched` and register themselves under a string key
-    with :func:`repro.backends.registry.register_backend`.
+    :meth:`apply_gate_batched`; :func:`repro.backends.registry.get_backend`
+    passes any instance through, so an oracle engine needs no registration.
     """
 
-    #: Registry key and display name of the engine.
+    #: Display name of the engine.
     name: str = "abstract"
 
-    def __init__(self, xm: "ArrayOps" = None,
-                 policy: "DTypePolicy" = None) -> None:
-        """Bind the engine to an array module and a dtype policy.
+    def __init__(self, policy: "DTypePolicy" = None) -> None:
+        """Bind the engine to a dtype policy.
 
-        Both default to the ambient resolution (``QUGEO_ARRAY_MODULE`` /
-        ``QUGEO_DTYPE`` environment variables, then ``numpy`` / ``float64``),
-        which reproduces the historical hard-coded behaviour exactly.
+        ``None`` defers to the ``QUGEO_DTYPE`` environment variable, then
+        ``float64``, which reproduces the historical hard-coded behaviour.
         """
-        self.xm = get_array_module(xm)
         self.policy = get_dtype_policy(policy)
 
     # ------------------------------------------------------------------ #

@@ -87,8 +87,8 @@ class EinsumBatchBackend(SimulationBackend):
     #: the plain C einsum kernel, whose per-call overhead is lower.
     path_threshold: int = 1 << 13
 
-    def __init__(self, xm=None, policy=None) -> None:
-        super().__init__(xm=xm, policy=policy)
+    def __init__(self, policy=None) -> None:
+        super().__init__(policy=policy)
         self._fixed_tensors: Dict[Tuple[str, str], np.ndarray] = {}
         self._paths: Dict[Tuple[str, Tuple[int, ...], Tuple[int, ...]], list] = {}
         self._telemetry = get_telemetry()
@@ -101,7 +101,7 @@ class EinsumBatchBackend(SimulationBackend):
 
         Cached per ``(gate name, complex dtype)`` so a policy change on the
         instance can never serve a tensor of the wrong precision, and stored
-        as the array module's native type (device-resident on GPU modules).
+        read-only so no caller can corrupt the shared copy.
         """
         dtype = self.policy.complex
         key = (name, dtype.str)
@@ -112,11 +112,9 @@ class EinsumBatchBackend(SimulationBackend):
                     "backend.einsum.gate_tensors.misses").inc()
             matrix = GATES[name]
             k = int(np.log2(matrix.shape[0]))
-            host = np.ascontiguousarray(
+            tensor = np.ascontiguousarray(
                 matrix.reshape((2,) * (2 * k)).astype(dtype, copy=False))
-            tensor = self.xm.asarray(host, dtype=dtype)
-            if isinstance(tensor, np.ndarray):
-                tensor.setflags(write=False)
+            tensor.setflags(write=False)
             self._fixed_tensors[key] = tensor
         elif self._telemetry.enabled:
             self._telemetry.counter("backend.einsum.gate_tensors.hits").inc()
@@ -126,7 +124,7 @@ class EinsumBatchBackend(SimulationBackend):
                    params_batched: bool) -> Tuple[np.ndarray, bool]:
         """Gate material for one op as ``(matrix, batched)``.
 
-        ``matrix`` is a native ``(2**k, 2**k)`` matrix, its ``(2,) * 2k``
+        ``matrix`` is a ``(2**k, 2**k)`` matrix, its ``(2,) * 2k``
         tensor form (fixed gates, memoised) or a ``(batch, 2**k, 2**k)``
         stack; :meth:`_apply_batched` reshapes uniformly.
         """
@@ -135,10 +133,10 @@ class EinsumBatchBackend(SimulationBackend):
         if params_batched:
             columns = tuple(params[:, i] for i in op.param_indices)
             stack = PARAMETRIC_GATES[op.name].matrix_stack(columns)
-            return self.xm.asarray(stack, dtype=self.policy.complex), True
+            return np.asarray(stack, dtype=self.policy.complex), True
         gate_params = [float(params[i]) for i in op.param_indices]
         matrix = PARAMETRIC_GATES[op.name].matrix(gate_params)
-        return self.xm.asarray(matrix, dtype=self.policy.complex), False
+        return np.asarray(matrix, dtype=self.policy.complex), False
 
     # ------------------------------------------------------------------ #
     # fused gate stream
@@ -183,22 +181,18 @@ class EinsumBatchBackend(SimulationBackend):
     def _apply_batched(self, tensor: np.ndarray, matrix: np.ndarray,
                        targets: Tuple[int, ...], n_qubits: int,
                        gate_batched: bool) -> np.ndarray:
-        """One einsum contraction over the whole batch (native arrays)."""
+        """One einsum contraction over the whole batch."""
         k = len(targets)
         gate_shape = ((matrix.shape[0],) if gate_batched else ()) + (2,) * (2 * k)
-        gate = self.xm.reshape(matrix, gate_shape)
+        gate = matrix.reshape(gate_shape)
         if self._telemetry.enabled:
             self._telemetry.counter("backend.einsum.subscripts.requests").inc()
         subscripts = _apply_subscripts(n_qubits, tuple(targets), gate_batched)
-        if (self.xm.supports_einsum_path
-                and self.xm.size(tensor) >= self.path_threshold):
-            # The optimize= contraction-path cache is a host-NumPy-only fast
-            # path: the guard above required supports_einsum_path, and the
-            # generic branch below stays on the xm waist.
-            return np.einsum(subscripts, gate, tensor,  # qugeo-lint: disable=QG003 -- host-numpy fast path by design
+        if tensor.size >= self.path_threshold:
+            return np.einsum(subscripts, gate, tensor,
                              optimize=self._contraction_path(
                                  subscripts, gate, tensor))
-        return self.xm.einsum(subscripts, gate, tensor)
+        return np.einsum(subscripts, gate, tensor)
 
     def _contraction_path(self, subscripts: str, gate: np.ndarray,
                           tensor: np.ndarray) -> list:
@@ -219,60 +213,54 @@ class EinsumBatchBackend(SimulationBackend):
     def run_batched(self, circuit: "ParameterizedCircuit", states: np.ndarray,
                     params: Optional[np.ndarray] = None,
                     return_intermediate: bool = False):
-        host_states = np.asarray(states)
-        if host_states.ndim != 2:
+        states = np.asarray(states, dtype=self.policy.complex)
+        if states.ndim != 2:
             raise ValueError("states must have shape (batch, 2**n_qubits)")
         n = circuit.n_qubits
-        if host_states.shape[1] != 2**n:
+        if states.shape[1] != 2**n:
             raise ValueError(
-                f"state length {host_states.shape[1]} does not match {n} qubits")
-        batch = host_states.shape[0]
-        states = self.xm.asarray(host_states, dtype=self.policy.complex)
+                f"state length {states.shape[1]} does not match {n} qubits")
+        batch = states.shape[0]
         params, params_batched = self._normalise_params(circuit, batch, params)
         telemetry = self._telemetry
         if telemetry.enabled:
             telemetry.counter("backend.einsum.run_batched.calls").inc()
             telemetry.counter("backend.einsum.run_batched.samples").inc(batch)
             telemetry.gauge("backend.einsum.last_batch_size").set(batch)
-        tensor = self.xm.reshape(states, (batch,) + (2,) * n)
+        tensor = states.reshape((batch,) + (2,) * n)
         if return_intermediate:
             # Batched adjoint path: the gradient sweep needs the state stack
             # before every op, so fusion is disabled and each op is applied
-            # individually (still one whole-batch contraction per op).  The
-            # intermediates cross the engine boundary as host arrays, which
-            # is the contract the adjoint sweep relies on.
+            # individually (still one whole-batch contraction per op).
             with telemetry.span("einsum.run_batched"):
                 intermediates: List[np.ndarray] = []
                 for op in circuit.ops:
-                    intermediates.append(
-                        self.xm.to_numpy(self.xm.reshape(tensor, (batch, -1))))
+                    intermediates.append(tensor.reshape(batch, -1))
                     matrix, batched = self._op_matrix(op, params,
                                                       params_batched)
                     tensor = self._apply_batched(tensor, matrix, op.qubits, n,
                                                  batched)
-                out = self.xm.to_numpy(self.xm.reshape(tensor, (batch, -1)))
-                return np.ascontiguousarray(out), intermediates
+                out = np.ascontiguousarray(tensor.reshape(batch, -1))
+                return out, intermediates
         with telemetry.span("einsum.run_batched"):
             for matrix, targets, batched in self._gate_stream(circuit, params,
                                                               params_batched):
                 tensor = self._apply_batched(tensor, matrix, targets, n,
                                              batched)
-            out = self.xm.to_numpy(self.xm.reshape(tensor, (batch, -1)))
-            return np.ascontiguousarray(out)
+            return np.ascontiguousarray(tensor.reshape(batch, -1))
 
     def apply_gate_batched(self, states: np.ndarray, matrix: np.ndarray,
                            targets, n_qubits: int) -> np.ndarray:
         """Apply one gate matrix to the whole stack with one contraction."""
-        host_states = np.asarray(states)
-        if host_states.ndim != 2:
+        states = np.asarray(states, dtype=self.policy.complex)
+        if states.ndim != 2:
             raise ValueError("states must have shape (batch, 2**n_qubits)")
-        batch = host_states.shape[0]
-        states = self.xm.asarray(host_states, dtype=self.policy.complex)
-        tensor = self.xm.reshape(states, (batch,) + (2,) * n_qubits)
-        matrix = self.xm.asarray(matrix, dtype=self.policy.complex)
+        batch = states.shape[0]
+        tensor = states.reshape((batch,) + (2,) * n_qubits)
+        matrix = np.asarray(matrix, dtype=self.policy.complex)
         out = self._apply_batched(tensor, matrix, tuple(targets), n_qubits,
                                   False)
-        return self.xm.to_numpy(self.xm.reshape(out, (batch, -1)))
+        return out.reshape(batch, -1)
 
     def run(self, circuit: "ParameterizedCircuit", state: np.ndarray,
             params: Optional[np.ndarray] = None,

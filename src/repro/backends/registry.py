@@ -1,135 +1,77 @@
-"""String-keyed registry of simulation backends.
+"""Resolution of the simulation backend.
 
-Engines register a factory under a short name (``"einsum"``, ``"torch"``,
-...) and callers resolve them with :func:`get_backend`.  Resolution order for
-the default backend mirrors entry-point-style tooling:
+The one production engine is ``"einsum"``
+(:class:`~repro.backends.einsum_batch.EinsumBatchBackend`).  Callers resolve
+it with :func:`get_backend`, which also passes a ready
+:class:`~repro.backends.base.SimulationBackend` instance through unchanged
+(the tests thread the per-gate loop oracle in this way).  The name is kept
+because :attr:`repro.core.config.QuGeoVQCConfig.backend` is a saved config
+field: any other name raises :class:`UnknownBackendError`.
 
-1. an explicit name (or ready instance) passed by the caller — e.g. from
-   :attr:`repro.core.config.QuGeoVQCConfig.backend`;
-2. the ``QUGEO_BACKEND`` environment variable;
-3. the process-wide default set with :func:`set_default_backend`
-   (``"einsum"`` out of the box).
-
-Factories are instantiated lazily and the instances cached, so repeated
-``get_backend("einsum")`` calls share one engine (and therefore its memoised
-gate tensors and einsum subscripts).  Each build counts a
-``backend.selected.<name>`` telemetry event, so a run snapshot records which
-engine it simulated on.
+The engine is built lazily once and cached, so repeated
+``get_backend("einsum")`` calls share one engine (and therefore its
+memoised gate tensors and einsum paths).  The build counts a
+``backend.selected.einsum`` telemetry event, so a run snapshot records
+which engine it simulated on.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Union
+from typing import List, Optional, Union
 
 from repro.backends.base import SimulationBackend
+from repro.backends.einsum_batch import EinsumBatchBackend
 from repro.telemetry import get_telemetry
-from repro.utils import env
 
-#: Environment variable consulted when no explicit backend is requested.
-BACKEND_ENV_VAR = env.BACKEND
-
-_FACTORIES: Dict[str, Callable[[], SimulationBackend]] = {}
-_INSTANCES: Dict[str, SimulationBackend] = {}
-_DEFAULT_NAME = "einsum"
+_NAME = EinsumBatchBackend.name
+_INSTANCE: Optional[EinsumBatchBackend] = None
 
 BackendSpec = Union[None, str, SimulationBackend]
 
 
 class BackendError(RuntimeError):
-    """Base class for backend registry failures."""
+    """Base class for backend resolution failures."""
 
 
 class UnknownBackendError(BackendError, KeyError):
-    """Raised when resolving a name no engine was registered under."""
+    """Raised when resolving a name other than the one engine's."""
 
     def __init__(self, name: str) -> None:
         self.name = name
-        available = ", ".join(sorted(_FACTORIES)) or "<none>"
         super().__init__(
-            f"unknown simulation backend {name!r}; registered backends: "
-            f"{available}")
+            f"unknown simulation backend {name!r}; available backends: "
+            f"{_NAME}")
 
     def __str__(self) -> str:  # KeyError would quote the repr of args[0]
         return self.args[0]
 
 
-class DuplicateBackendError(BackendError, ValueError):
-    """Raised when registering a name that is already taken."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        super().__init__(
-            f"simulation backend {name!r} is already registered; pass "
-            f"replace=True to override it")
-
-
-def register_backend(name: str,
-                     factory: Callable[[], SimulationBackend],
-                     *, replace: bool = False) -> None:
-    """Register ``factory`` (a zero-arg callable) under ``name``.
-
-    Registering an existing name raises :class:`DuplicateBackendError`
-    unless ``replace=True``, in which case any cached instance is dropped.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError("backend name must be a non-empty string")
-    if not callable(factory):
-        raise TypeError("backend factory must be callable")
-    if name in _FACTORIES and not replace:
-        raise DuplicateBackendError(name)
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
-
-
-def unregister_backend(name: str) -> None:
-    """Remove ``name`` from the registry (mainly for tests)."""
-    if name not in _FACTORIES:
-        raise UnknownBackendError(name)
-    del _FACTORIES[name]
-    _INSTANCES.pop(name, None)
-
-
 def available_backends() -> List[str]:
-    """Sorted names of every registered engine."""
-    return sorted(_FACTORIES)
+    """Names :func:`get_backend` resolves."""
+    return [_NAME]
 
 
 def default_backend_name() -> str:
     """The name :func:`get_backend` resolves when given ``None``."""
-    return env.get_str(env.BACKEND, _DEFAULT_NAME)
-
-
-def set_default_backend(name: str) -> None:
-    """Set the process-wide default engine (must already be registered)."""
-    global _DEFAULT_NAME
-    if name not in _FACTORIES:
-        raise UnknownBackendError(name)
-    _DEFAULT_NAME = name
+    return _NAME
 
 
 def get_backend(spec: BackendSpec = None) -> SimulationBackend:
     """Resolve ``spec`` to a ready :class:`SimulationBackend` instance.
 
-    ``spec`` may be ``None`` (use the environment / process default), a
-    registered name, or an already-constructed backend (returned as-is, so
-    callers can thread a custom engine through without registering it).
+    ``spec`` may be ``None`` or ``"einsum"`` (the cached engine), or an
+    already-constructed backend (returned as-is).
     """
+    global _INSTANCE
     if isinstance(spec, SimulationBackend):
         return spec
-    if spec is None:
-        spec = default_backend_name()
-    if not isinstance(spec, str):
+    if spec is not None and not isinstance(spec, str):
         raise TypeError(
             f"backend spec must be None, a name or a SimulationBackend, "
             f"got {type(spec).__name__}")
-    if spec not in _FACTORIES:
+    if spec is not None and spec != _NAME:
         raise UnknownBackendError(spec)
-    if spec not in _INSTANCES:
-        instance = _FACTORIES[spec]()
-        if not isinstance(instance, SimulationBackend):
-            raise TypeError(
-                f"factory for backend {spec!r} returned "
-                f"{type(instance).__name__}, not a SimulationBackend")
-        get_telemetry().counter(f"backend.selected.{spec}").inc()
-        _INSTANCES[spec] = instance
-    return _INSTANCES[spec]
+    if _INSTANCE is None:
+        _INSTANCE = EinsumBatchBackend()
+        get_telemetry().counter(f"backend.selected.{_NAME}").inc()
+    return _INSTANCE

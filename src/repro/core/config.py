@@ -89,10 +89,10 @@ class QuGeoVQCConfig:
         Hardware qubit budget; construction fails if exceeded (the paper uses
         16 to match near-term devices).
     backend:
-        Name of the simulation backend the model executes on (a key of
-        :func:`repro.backends.available_backends`, e.g. ``"einsum"`` or
-        ``"torch"``).  ``None`` defers to the ``QUGEO_BACKEND`` environment
-        variable and then the registry default.
+        Name of the simulation backend the model executes on: ``"einsum"``
+        (the one engine, see :func:`repro.backends.available_backends`) or
+        ``None`` for the default.  Any other name fails with
+        :class:`repro.backends.UnknownBackendError` when the model is built.
     """
 
     n_groups: int = 1

@@ -294,9 +294,7 @@ def _reduced_overlap_batched(lams: np.ndarray, states: np.ndarray,
                           range(1, k + 1))
     lam_flat = lam_t.reshape(batch, 2**k, -1)
     state_flat = state_t.reshape(batch, 2**k, -1)
-    # Adjoint differentiation runs on the host reference simulator (float64
-    # numpy states throughout); it does not take an xm handle.
-    return np.matmul(lam_flat.conj(), state_flat.swapaxes(1, 2))  # qugeo-lint: disable=QG003 -- host-numpy adjoint path by design
+    return np.matmul(lam_flat.conj(), state_flat.swapaxes(1, 2))
 
 
 def finite_difference_gradients(circuit: ParameterizedCircuit, params: np.ndarray,

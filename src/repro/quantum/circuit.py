@@ -143,9 +143,9 @@ class ParameterizedCircuit:
             Also return the list of statevectors *before* each gate (used by
             the reverse-mode gradient computation).
         backend:
-            Simulation engine: a registered name, a
+            Simulation engine: ``"einsum"``, a
             :class:`~repro.backends.base.SimulationBackend` instance, or
-            ``None`` for the process default (see :mod:`repro.backends`).
+            ``None`` for the default (see :mod:`repro.backends`).
 
         Returns
         -------

@@ -527,12 +527,12 @@ class BatchedAcousticSimulator2D:
     # ------------------------------------------------------------------ #
     def _lap_z_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Second z-derivative of ``field`` written into ``out``."""
-        np.matmul(self._dz_op, field, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
+        np.matmul(self._dz_op, field, out=out)
         return out
 
     def _lap_x_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Second x-derivative of ``field`` written into ``out``."""
-        np.matmul(field, self._dx_op_t, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
+        np.matmul(field, self._dx_op_t, out=out)
         return out
 
     def _laplacian_into(self, field: np.ndarray, out: np.ndarray,

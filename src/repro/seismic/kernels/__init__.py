@@ -1,8 +1,8 @@
 """String-keyed registry of propagator time-loop kernels.
 
-Mirrors :mod:`repro.backends` and :mod:`repro.seismic.propagators`: kernel
-engines register a factory under a short name and the batched propagator
-resolves one with :func:`get_kernel`.  A factory is a zero-argument
+Mirrors :mod:`repro.seismic.propagators`: kernel engines register a
+factory under a short name and the batched propagator resolves one with
+:func:`get_kernel`.  A factory is a zero-argument
 callable returning a :class:`~repro.seismic.kernels.base.PropagatorKernel`;
 it raises :class:`KernelUnavailableError` when an optional dependency is
 missing, so registration never imports heavy packages eagerly.
@@ -177,18 +177,8 @@ def _numba_factory() -> PropagatorKernel:
     return fused.FusedLoopKernel(name="numba")
 
 
-def _cffi_factory() -> PropagatorKernel:
-    # Reserved registration: the env-var contract names "cffi" as a valid
-    # choice, but the compiled extension is not shipped yet — selecting it
-    # degrades to the python kernel through resolve_kernel().
-    raise KernelUnavailableError(
-        "cffi", "the cffi kernel requires the optional compiled extension "
-        "(not built in this environment)")
-
-
 register_kernel("python", _python_factory)
 register_kernel("numba", _numba_factory)
-register_kernel("cffi", _cffi_factory)  # qugeo-lint: placeholder -- declared engine; compiled extension not shipped yet
 
 __all__ = [
     "KERNEL_ENV_VAR",

@@ -1,8 +1,7 @@
 """String-keyed registry of acoustic propagator engines.
 
-The seismic side mirrors the :mod:`repro.backends` subsystem: propagation
-engines register a factory under a short name (``"scalar"``, ``"batched"``,
-...) and callers resolve them with :func:`get_propagator`.  A factory is a
+Propagation engines register a factory under a short name (``"scalar"``,
+``"batched"``, ...) and callers resolve them with :func:`get_propagator`.  A factory is a
 callable ``factory(velocity, config) -> simulator`` returning an object with
 the ``simulate_shots`` interface of
 :class:`~repro.seismic.acoustic2d.AcousticSimulator2D`; unlike the quantum

@@ -2,8 +2,7 @@
 
 Every process-level switch of the stack is an environment variable with the
 ``QUGEO_`` prefix.  Historically each subsystem parsed its own variable
-inline (``telemetry/core.py``, ``backends/registry.py``,
-``seismic/propagators.py``, ``benchmarks/common.py``, ...); this module is
+inline (``telemetry/core.py``, ``seismic/propagators.py``, ``benchmarks/common.py``, ...); this module is
 now the single place that knows the variable names, their defaults and how
 to coerce their values, so the documented behaviour cannot drift between
 call sites.
@@ -18,12 +17,10 @@ Known variables
 ==========================  =====================================================
 Variable                    Meaning (default)
 ==========================  =====================================================
-``QUGEO_BACKEND``           Default simulation backend name (``numpy``)
 ``QUGEO_PROPAGATOR``        Default acoustic propagator name (``batched``)
 ``QUGEO_SEISMIC_KERNEL``    Default propagator time-loop kernel (``python``;
-                            also ``numba`` / ``cffi`` when installed)
+                            also ``numba`` when installed)
 ``QUGEO_SEISMIC_BOUNDARY``  Default absorbing boundary (``sponge``; ``pml``)
-``QUGEO_ARRAY_MODULE``      Default array module for numeric engines (``numpy``)
 ``QUGEO_DTYPE``             Default dtype policy (``float64``; also ``float32``)
 ``QUGEO_TELEMETRY``         Telemetry mode (``off``; ``summary`` / ``trace``)
 ``QUGEO_BENCH_SCALE``       Benchmark scale (``small``; ``medium`` / ``full``)
@@ -56,11 +53,9 @@ from typing import Dict, Iterator, Optional, Tuple
 ENV_PREFIX = "QUGEO_"
 
 # Canonical variable names (import these instead of retyping strings).
-BACKEND = "QUGEO_BACKEND"
 PROPAGATOR = "QUGEO_PROPAGATOR"
 SEISMIC_KERNEL = "QUGEO_SEISMIC_KERNEL"
 SEISMIC_BOUNDARY = "QUGEO_SEISMIC_BOUNDARY"
-ARRAY_MODULE = "QUGEO_ARRAY_MODULE"
 DTYPE = "QUGEO_DTYPE"
 TELEMETRY = "QUGEO_TELEMETRY"
 BENCH_SCALE = "QUGEO_BENCH_SCALE"
@@ -85,16 +80,12 @@ class EnvVar:
 
 #: Every known variable with its documented default, in display order.
 KNOWN_VARS: Tuple[EnvVar, ...] = (
-    EnvVar(BACKEND, "einsum", "default simulation backend name"),
     EnvVar(PROPAGATOR, "batched", "default acoustic propagator name"),
     EnvVar(SEISMIC_KERNEL, "python",
            "default propagator time-loop kernel",
-           ("python", "numba", "cffi")),
+           ("python", "numba")),
     EnvVar(SEISMIC_BOUNDARY, "sponge",
            "default absorbing boundary condition", ("sponge", "pml")),
-    EnvVar(ARRAY_MODULE, "numpy",
-           "default array module for numeric engines",
-           ("numpy", "torch")),
     EnvVar(DTYPE, "float64", "default dtype policy",
            ("float64", "float32")),
     EnvVar(TELEMETRY, "off", "telemetry mode", ("off", "summary", "trace")),

@@ -17,7 +17,7 @@ engine bit-identical to the historical hard-coded ``np.float64`` /
 bandwidth on the propagator and statevector hot paths at ~1e-3 relative
 accuracy.
 
-Resolution mirrors the backend/propagator registries: an explicit policy or
+Resolution mirrors the propagator registry: an explicit policy or
 name beats the ``QUGEO_DTYPE`` environment variable, which beats the
 process-wide default (:func:`set_default_policy`, ``float64`` out of the
 box).

@@ -13,15 +13,11 @@ import numpy as np
 import pytest
 
 from repro.backends import (
-    BACKEND_ENV_VAR,
-    DuplicateBackendError,
     EinsumBatchBackend,
     UnknownBackendError,
     available_backends,
     default_backend_name,
     get_backend,
-    register_backend,
-    unregister_backend,
 )
 from repro.core.config import QuGeoVQCConfig
 from repro.core.qubatch import QuBatchVQC
@@ -93,6 +89,18 @@ def test_single_state_parity_random_circuits(n_qubits, loop, einsum):
         np.testing.assert_allclose(actual, expected, atol=ATOL)
 
 
+def _path_engines(einsum):
+    """The shared engine plus one forced onto the BLAS contraction path.
+
+    No tier-1 register reaches ``path_threshold`` (6 qubits x batch 8 is 512
+    elements), so the ``einsum_path`` branch of ``_apply_batched`` is only
+    tested with the threshold dropped to 0.
+    """
+    blas = EinsumBatchBackend()
+    blas.path_threshold = 0
+    return {"default": einsum, "0": blas}
+
+
 @pytest.mark.parametrize("n_qubits", [1, 3, 6])
 @pytest.mark.parametrize("batch", [1, 5, 8])
 def test_batched_state_parity(n_qubits, batch, loop, einsum):
@@ -101,9 +109,24 @@ def test_batched_state_parity(n_qubits, batch, loop, einsum):
     params = rng.normal(size=circuit.n_params)
     states = random_states(n_qubits, batch, rng)
     expected = loop.run_batched(circuit, states, params)
-    actual = einsum.run_batched(circuit, states, params)
-    assert actual.shape == (batch, 2**n_qubits)
-    np.testing.assert_allclose(actual, expected, atol=ATOL)
+    for threshold, engine in _path_engines(einsum).items():
+        actual = engine.run_batched(circuit, states, params)
+        assert actual.shape == (batch, 2**n_qubits)
+        np.testing.assert_allclose(actual, expected, atol=ATOL,
+                                   err_msg=f"path_threshold={threshold}")
+
+
+@pytest.mark.parametrize("targets", [(0,), (2, 0), (1, 3)])
+def test_apply_gate_batched_parity(targets, loop, einsum):
+    rng = np.random.default_rng(210 + sum(targets))
+    n_qubits, batch, dim = 4, 5, 2**len(targets)
+    states = random_states(n_qubits, batch, rng)
+    matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    expected = loop.apply_gate_batched(states, matrix, targets, n_qubits)
+    for threshold, engine in _path_engines(einsum).items():
+        actual = engine.apply_gate_batched(states, matrix, targets, n_qubits)
+        np.testing.assert_allclose(actual, expected, atol=ATOL,
+                                   err_msg=f"path_threshold={threshold}")
 
 
 @pytest.mark.parametrize("n_qubits", [2, 4, 6])
@@ -279,8 +302,11 @@ def test_parameter_shift_stacked_sweep_matches_loop():
 # registry
 # --------------------------------------------------------------------------- #
 def test_known_backends_registered():
-    assert available_backends() == ["einsum", "torch"]
+    assert available_backends() == ["einsum"]
+    assert default_backend_name() == "einsum"
     assert isinstance(get_backend("einsum"), EinsumBatchBackend)
+    # One cached engine behind every spelling of the default.
+    assert get_backend(None) is get_backend("einsum") is get_backend()
 
 
 def test_get_backend_unknown_name():
@@ -288,39 +314,10 @@ def test_get_backend_unknown_name():
         get_backend("definitely-not-a-backend")
     message = str(excinfo.value)
     assert "definitely-not-a-backend" in message
-    assert "einsum" in message  # the error lists what *is* registered
-
-
-def test_duplicate_registration_rejected():
-    with pytest.raises(DuplicateBackendError):
-        register_backend("einsum", EinsumBatchBackend)
-    # replace=True is the explicit override escape hatch.
-    register_backend("einsum", EinsumBatchBackend, replace=True)
-    assert isinstance(get_backend("einsum"), EinsumBatchBackend)
-
-
-def test_register_and_unregister_custom_backend():
-    class Custom(LoopOracle):
-        name = "custom-test"
-
-    register_backend("custom-test", Custom)
-    try:
-        assert isinstance(get_backend("custom-test"), Custom)
-        # Instances are cached per name.
-        assert get_backend("custom-test") is get_backend("custom-test")
-    finally:
-        unregister_backend("custom-test")
+    assert "einsum" in message  # the error lists what *is* available
+    # A saved config naming an engine that no longer exists fails alike.
     with pytest.raises(UnknownBackendError):
-        get_backend("custom-test")
-    with pytest.raises(UnknownBackendError):
-        unregister_backend("custom-test")
-
-
-def test_register_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        register_backend("", LoopOracle)
-    with pytest.raises(TypeError):
-        register_backend("not-callable", object())
+        get_backend("torch")
 
 
 def test_get_backend_passthrough_and_bad_spec():
@@ -328,100 +325,6 @@ def test_get_backend_passthrough_and_bad_spec():
     assert get_backend(instance) is instance
     with pytest.raises(TypeError):
         get_backend(123)
-
-
-def test_env_var_selects_default(monkeypatch):
-    register_backend("env-test", LoopOracle)
-    try:
-        monkeypatch.setenv(BACKEND_ENV_VAR, "env-test")
-        assert default_backend_name() == "env-test"
-        assert isinstance(get_backend(None), LoopOracle)
-    finally:
-        unregister_backend("env-test")
-    monkeypatch.delenv(BACKEND_ENV_VAR)
-    assert default_backend_name() == "einsum"
-    assert isinstance(get_backend(None), EinsumBatchBackend)
-
-
-# --------------------------------------------------------------------------- #
-# array-module engines (torch) — exercised only where the package is
-# present; the registration itself is always tested.
-# --------------------------------------------------------------------------- #
-ARRAY_MODULE_ENGINES = ("torch",)
-
-
-def _engine_or_skip(name):
-    from repro.xm import array_module_available
-
-    if not array_module_available(name):
-        pytest.skip(f"array module {name!r} is not available here")
-    return get_backend(name)
-
-
-@pytest.mark.parametrize("engine", ARRAY_MODULE_ENGINES)
-def test_array_module_engines_registered_and_guarded(engine):
-    assert engine in available_backends()
-    from repro.xm import array_module_available
-
-    if array_module_available(engine):
-        backend = get_backend(engine)
-        assert backend.name == engine
-        assert backend.xm.name == engine
-    else:
-        # The name resolves, but building the engine reports the missing
-        # package instead of crashing deep inside the math.
-        with pytest.raises(ImportError, match=engine):
-            get_backend(engine)
-
-
-@pytest.mark.parametrize("engine", ARRAY_MODULE_ENGINES)
-@pytest.mark.parametrize("n_qubits", [1, 3, 5])
-def test_array_module_single_state_parity(engine, n_qubits, loop):
-    backend = _engine_or_skip(engine)
-    rng = np.random.default_rng(400 + n_qubits)
-    for _ in range(2):
-        circuit = random_circuit(n_qubits, n_ops=15, rng=rng)
-        params = rng.normal(size=circuit.n_params)
-        state = random_states(n_qubits, 1, rng)[0]
-        expected = loop.run(circuit, state, params)
-        actual = backend.run(circuit, state, params)
-        assert isinstance(actual, np.ndarray)
-        np.testing.assert_allclose(actual, expected, atol=ATOL)
-
-
-@pytest.mark.parametrize("engine", ARRAY_MODULE_ENGINES)
-@pytest.mark.parametrize("n_qubits,batch", [(2, 4), (4, 6)])
-def test_array_module_batched_parity(engine, n_qubits, batch, loop):
-    backend = _engine_or_skip(engine)
-    rng = np.random.default_rng(500 + 10 * n_qubits + batch)
-    circuit = random_circuit(n_qubits, n_ops=12, rng=rng)
-    states = random_states(n_qubits, batch, rng)
-    params = rng.normal(size=circuit.n_params)
-    np.testing.assert_allclose(backend.run_batched(circuit, states, params),
-                               loop.run_batched(circuit, states, params),
-                               atol=ATOL)
-    param_matrix = rng.normal(size=(batch, circuit.n_params))
-    expected = np.stack([loop.run(circuit, state, row)
-                         for state, row in zip(states, param_matrix)])
-    np.testing.assert_allclose(
-        backend.run_batched(circuit, states, param_matrix), expected,
-        atol=ATOL)
-
-
-@pytest.mark.parametrize("engine", ARRAY_MODULE_ENGINES)
-def test_array_module_adjoint_gradient_parity(engine):
-    backend = _engine_or_skip(engine)
-    rng = np.random.default_rng(600)
-    circuit = random_circuit(4, n_ops=10, rng=rng)
-    params = rng.normal(size=circuit.n_params)
-    state = random_states(4, 1, rng)[0]
-    loss_head = _z0_loss_head(4)
-    loss_a, grads_a = circuit_gradients(circuit, params, state, loss_head,
-                                        backend=LoopOracle())
-    loss_b, grads_b = circuit_gradients(circuit, params, state, loss_head,
-                                        backend=backend)
-    assert abs(loss_a - loss_b) < ATOL
-    np.testing.assert_allclose(grads_b, grads_a, atol=ATOL)
 
 
 # --------------------------------------------------------------------------- #

@@ -34,19 +34,13 @@ from repro.quantum.measurement import (
     z_expectations_backward_batched,
     z_expectations_batched,
 )
-from repro.xm import array_module_available
 
 from loop_oracle import LoopOracle
 
-# The oracle row keeps the id "numpy": it is the per-gate NumPy loop.  The
-# torch row runs the production batched adjoint sweep on torch tensors and
-# skips where torch is not installed.
+# The oracle row keeps the id "numpy": it is the per-gate NumPy loop.
 BACKENDS = (
     pytest.param(LoopOracle(), id="numpy"),
     "einsum",
-    pytest.param("torch", marks=pytest.mark.skipif(
-        not array_module_available("torch"),
-        reason="array module 'torch' is not available here")),
 )
 
 

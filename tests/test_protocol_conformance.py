@@ -91,10 +91,7 @@ def test_data_source_instance_conformance():
 
 @pytest.mark.parametrize("name", available_backends())
 def test_registered_backends_are_simulation_backends(name):
-    try:
-        backend = get_backend(name)
-    except ImportError as missing:  # an optional array module
-        pytest.skip(str(missing))
+    backend = get_backend(name)
     assert isinstance(backend, SimulationBackend)
     assert backend is _accepts_backend(backend)
 

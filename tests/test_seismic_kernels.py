@@ -4,8 +4,7 @@ The fused kernel in :mod:`repro.seismic.kernels.fused` degrades to plain
 Python loops when numba is absent, so its parity tests run (slowly, on tiny
 grids) in every environment; when numba is installed the same tests cover
 the compiled code paths.  The ``"numba"`` registry entry itself is only
-available when numba imports — mirroring how ``tests/test_backends.py``
-treats optional engines.
+available when numba imports.
 """
 
 from __future__ import annotations
@@ -67,12 +66,28 @@ def small_setup(nz=24, nx=24, n_steps=80, boundary=None, **config_kwargs):
 # --------------------------------------------------------------------------- #
 # registry behaviour
 # --------------------------------------------------------------------------- #
+def _unavailable_factory():
+    raise KernelUnavailableError("test-unavailable",
+                                 "its optional dependency is not installed")
+
+
+@pytest.fixture
+def unavailable_kernel():
+    """A test-local kernel that is registered but can never be built."""
+    register_kernel("test-unavailable", _unavailable_factory)
+    try:
+        yield "test-unavailable"
+    finally:
+        unregister_kernel("test-unavailable")
+
+
 class TestKernelRegistry:
-    def test_builtin_registrations(self):
-        assert set(available_kernels()) >= {"python", "numba", "cffi"}
+    def test_builtin_registrations(self, unavailable_kernel):
+        assert sorted(available_kernels()) == sorted(
+            ["python", "numba", unavailable_kernel])
         assert kernel_available("python")
         assert kernel_available("numba") == HAVE_NUMBA
-        assert not kernel_available("cffi")  # reserved, never built here
+        assert not kernel_available(unavailable_kernel)
         assert not kernel_available("no-such-kernel")
 
     def test_default_resolves_python(self, monkeypatch):
@@ -80,10 +95,10 @@ class TestKernelRegistry:
         assert default_kernel_name() == "python"
         assert isinstance(get_kernel(), PythonKernel)
 
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(env.SEISMIC_KERNEL, "cffi")
-        assert default_kernel_name() == "cffi"
-        with pytest.raises(KernelUnavailableError, match="cffi"):
+    def test_env_var_overrides_default(self, monkeypatch, unavailable_kernel):
+        monkeypatch.setenv(env.SEISMIC_KERNEL, unavailable_kernel)
+        assert default_kernel_name() == unavailable_kernel
+        with pytest.raises(KernelUnavailableError, match=unavailable_kernel):
             get_kernel()
 
     def test_instances_are_cached_per_name(self):
@@ -115,10 +130,10 @@ class TestKernelRegistry:
         with pytest.raises(UnknownKernelError):
             get_kernel("test-kernel")
 
-    def test_resolve_degrades_unavailable_to_python(self):
-        kernel, reason = resolve_kernel("cffi")
+    def test_resolve_degrades_unavailable_to_python(self, unavailable_kernel):
+        kernel, reason = resolve_kernel(unavailable_kernel)
         assert isinstance(kernel, PythonKernel)
-        assert "cffi" in reason
+        assert unavailable_kernel in reason
 
     def test_resolve_degrades_snapshot_incapable_to_python(self):
         fused = FusedLoopKernel()

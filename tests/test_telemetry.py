@@ -306,19 +306,15 @@ class TestInstrumentation:
         assert any(path.endswith("gradients.forward") for path in paths)
         assert any(path.endswith("gradients.backward") for path in paths)
 
-    def test_backend_build_counts_selection(self):
-        from repro.backends import (EinsumBatchBackend, get_backend,
-                                    register_backend, unregister_backend)
+    def test_backend_build_counts_selection(self, monkeypatch):
+        from repro.backends import get_backend, registry
 
-        register_backend("selection-test", EinsumBatchBackend)
-        try:
-            with capture("summary") as telemetry:
-                get_backend("selection-test")
-                get_backend("selection-test")  # cached: built once
-                counters = telemetry.snapshot()["counters"]
-        finally:
-            unregister_backend("selection-test")
-        assert counters["backend.selected.selection-test"] == 1
+        monkeypatch.setattr(registry, "_INSTANCE", None)
+        with capture("summary") as telemetry:
+            get_backend()
+            get_backend()  # cached: built once
+            counters = telemetry.snapshot()["counters"]
+        assert counters["backend.selected.einsum"] == 1
 
     def test_propagator_records_per_phase_timers(self):
         from repro.seismic.forward_modeling import forward_model_shot_gather

@@ -17,13 +17,13 @@ from repro.utils import env
 # parsing primitives
 # --------------------------------------------------------------------------- #
 def test_get_str_unset_and_empty_fall_back(monkeypatch):
-    monkeypatch.delenv(env.BACKEND, raising=False)
-    assert env.get_str(env.BACKEND, "numpy") == "numpy"
-    assert env.get_str(env.BACKEND) is None
-    monkeypatch.setenv(env.BACKEND, "")
-    assert env.get_str(env.BACKEND, "numpy") == "numpy"
-    monkeypatch.setenv(env.BACKEND, "einsum")
-    assert env.get_str(env.BACKEND, "numpy") == "einsum"
+    monkeypatch.delenv(env.PROPAGATOR, raising=False)
+    assert env.get_str(env.PROPAGATOR, "batched") == "batched"
+    assert env.get_str(env.PROPAGATOR) is None
+    monkeypatch.setenv(env.PROPAGATOR, "")
+    assert env.get_str(env.PROPAGATOR, "batched") == "batched"
+    monkeypatch.setenv(env.PROPAGATOR, "scalar")
+    assert env.get_str(env.PROPAGATOR, "batched") == "scalar"
 
 
 def test_get_choice_normalises_and_validates(monkeypatch):
@@ -55,35 +55,28 @@ def test_known_vars_documented_and_prefixed():
     for var in env.KNOWN_VARS:
         assert var.name.startswith(env.ENV_PREFIX)
         assert var.description
-    # The canonical constants all appear in the documentation table.
-    for name in (env.BACKEND, env.PROPAGATOR, env.ARRAY_MODULE, env.DTYPE,
-                 env.TELEMETRY, env.BENCH_SCALE, env.CACHE_DIR,
-                 env.DATAGEN_WORKERS, env.CHECKPOINT_DIR,
-                 env.SEISMIC_KERNEL, env.SEISMIC_BOUNDARY):
-        assert name in names
+    # The documentation table holds exactly the canonical constants (there
+    # is no backend or array-module switch: one engine, one array library).
+    assert set(names) == {
+        env.PROPAGATOR, env.DTYPE, env.TELEMETRY, env.BENCH_SCALE,
+        env.CACHE_DIR, env.DATAGEN_WORKERS, env.CHECKPOINT_DIR,
+        env.SEISMIC_KERNEL, env.SEISMIC_BOUNDARY,
+        env.ROBUSTNESS_MAX_RETRIES, env.ROBUSTNESS_BACKOFF,
+        env.ROBUSTNESS_VALIDATE, env.ROBUSTNESS_CHAOS}
 
 
 def test_describe_reports_current_values(monkeypatch):
-    monkeypatch.setenv(env.BACKEND, "torch")
+    monkeypatch.setenv(env.PROPAGATOR, "scalar")
     monkeypatch.delenv(env.CACHE_DIR, raising=False)
     table = env.describe()
-    assert table[env.BACKEND]["value"] == "torch"
-    assert table[env.BACKEND]["default"] == "einsum"
+    assert table[env.PROPAGATOR]["value"] == "scalar"
+    assert table[env.PROPAGATOR]["default"] == "batched"
     assert table[env.CACHE_DIR]["value"] is None
 
 
 # --------------------------------------------------------------------------- #
 # the subsystems resolve through the central module
 # --------------------------------------------------------------------------- #
-def test_backend_default_resolves_via_env(monkeypatch):
-    from repro.backends import default_backend_name
-
-    monkeypatch.setenv(env.BACKEND, "torch")
-    assert default_backend_name() == "torch"
-    monkeypatch.delenv(env.BACKEND)
-    assert default_backend_name() == "einsum"
-
-
 def test_propagator_default_resolves_via_env(monkeypatch):
     from repro.seismic.propagators import default_propagator_name
 
@@ -128,13 +121,9 @@ def test_seismic_boundary_default_resolves_via_env(monkeypatch):
     assert env.describe()[env.SEISMIC_BOUNDARY]["default"] == "sponge"
 
 
-def test_array_module_and_dtype_resolve_via_env(monkeypatch):
-    from repro.xm import default_array_module_name, default_policy_name
+def test_dtype_policy_resolves_via_env(monkeypatch):
+    from repro.xm import default_policy_name
 
-    monkeypatch.setenv(env.ARRAY_MODULE, "torch")
-    assert default_array_module_name() == "torch"
-    monkeypatch.delenv(env.ARRAY_MODULE)
-    assert default_array_module_name() == "numpy"
     monkeypatch.setenv(env.DTYPE, "float32")
     assert default_policy_name() == "float32"
     monkeypatch.delenv(env.DTYPE)
